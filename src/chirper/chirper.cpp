@@ -19,7 +19,8 @@ net::MessagePtr ChirperApp::execute(const smr::Command& cmd, smr::ExecutionView&
   switch (cmd.op) {
     case kPost: {
       const VarId poster = cmd.write_set.at(0);
-      Post post{poster, cmd.id.value, cmd.arg};
+      // One text buffer per execution, shared by every timeline below.
+      const Post post{poster, cmd.id.value, PostText(cmd.arg)};
       // Deliver into every reachable timeline (the poster's own included).
       // Variables deleted concurrently are simply skipped.
       for (VarId u : cmd.write_set) {
@@ -74,6 +75,7 @@ smr::Command make_post(VarId user, const std::vector<VarId>& followers, std::str
   DSSMR_ASSERT_MSG(text.size() <= kMaxPostLength, "posts are capped at 140 characters");
   smr::Command c;
   c.op = kPost;
+  c.write_set.reserve(followers.size() + 1);
   c.write_set.push_back(user);
   for (VarId f : followers) {
     if (f != user) c.write_set.push_back(f);

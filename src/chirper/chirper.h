@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "smr/app.h"
@@ -30,10 +33,44 @@ enum Op : std::uint32_t {
 constexpr std::size_t kTimelineCap = 50;
 constexpr std::size_t kMaxPostLength = 140;
 
+/// Immutable post text with value semantics. Copies share one buffer, so a
+/// post fanned out to many timelines, cloned with a UserValue or returned in
+/// a TimelineReply copies a pointer, not the characters. Assigning new text
+/// rebinds only the assigned value: a clone never observes it.
+class PostText {
+ public:
+  PostText() = default;
+  PostText(std::string_view s)  // NOLINT(google-explicit-constructor)
+      : size_(s.size()) {
+    if (s.empty()) return;
+    std::shared_ptr<char[]> buf = std::make_shared<char[]>(s.size() + 1);
+    std::memcpy(buf.get(), s.data(), s.size());
+    data_ = std::move(buf);
+  }
+  PostText(const char* s) : PostText(std::string_view(s)) {}  // NOLINT
+
+  std::size_t size() const { return size_; }
+  const char* c_str() const { return data_ != nullptr ? data_.get() : ""; }
+  std::string_view view() const { return {c_str(), size_}; }
+  /// Whether both values share one buffer (tests check fan-out sharing).
+  bool shares_buffer_with(const PostText& o) const {
+    return data_ != nullptr && data_ == o.data_;
+  }
+
+  friend bool operator==(const PostText& a, std::string_view b) { return a.view() == b; }
+  friend std::ostream& operator<<(std::ostream& os, const PostText& t) {
+    return os << t.view();
+  }
+
+ private:
+  std::shared_ptr<const char[]> data_;  // NUL-terminated; null when empty
+  std::size_t size_ = 0;
+};
+
 struct Post {
   VarId author{};
   std::uint64_t seq = 0;  // command id: deterministic, totally ordered per user
-  std::string text;
+  PostText text;
 };
 
 struct UserValue final : smr::VarValue {

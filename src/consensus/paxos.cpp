@@ -8,10 +8,16 @@
 namespace dssmr::consensus {
 namespace {
 
-std::size_t batch_bytes(const Batch& b) {
+std::size_t batch_bytes(const BatchPtr& b) {
   std::size_t n = 16;
-  for (const auto& e : b) n += 16 + (e.payload != nullptr ? e.payload->size_bytes() : 0);
+  for (const auto& e : *b) n += 16 + (e.payload != nullptr ? e.payload->size_bytes() : 0);
   return n;
+}
+
+/// Moves `entries[first, last)` into a new right-sized shared batch.
+BatchPtr share_batch(Batch::iterator first, Batch::iterator last) {
+  return std::make_shared<const Batch>(std::make_move_iterator(first),
+                                       std::make_move_iterator(last));
 }
 
 }  // namespace
@@ -39,6 +45,7 @@ PaxosCore::PaxosCore(sim::Engine& engine, GroupId gid, std::vector<ProcessId> me
       cb_(std::move(callbacks)),
       rng_(seed) {
   DSSMR_ASSERT_MSG(!members_.empty(), "group needs at least one member");
+  DSSMR_ASSERT_MSG(members_.size() <= 64, "member sets are 64-bit masks");
   DSSMR_ASSERT(cb_.send != nullptr && cb_.on_decide != nullptr);
   self_index_ = index_of(self_);
 }
@@ -74,16 +81,21 @@ void PaxosCore::restart() {
   halted_ = false;
   role_ = Role::Follower;
   ballot_ = 0;
-  p1b_granted_.clear();
+  p1b_granted_ = 0;
   p1b_accepted_.clear();
   proposals_.clear();
   inflight_ = 0;
   pending_.clear();
-  submitted_ids_.clear();
+  submitted_ids_ = BoundedSet<std::uint64_t>(kSubmitDedupWindow);
   // The election timer doubles as the catch-up trigger: the current leader's
   // next heartbeat arrives well before it fires and carries a committed slot
   // ahead of ours, so maybe_request_catchup() pulls the missed log tail.
   arm_election_timer();
+}
+
+BatchPtr PaxosCore::decided_batch(Slot slot) const {
+  const auto it = decided_.find(slot);
+  return it != decided_.end() ? it->second : nullptr;
 }
 
 ProcessId PaxosCore::leader_hint() const {
@@ -150,12 +162,12 @@ void PaxosCore::start_election() {
   role_ = Role::Candidate;
   ballot_ = make_ballot(ballot_round(max_seen_ballot_) + 1, self_index_);
   max_seen_ballot_ = ballot_;
-  p1b_granted_.clear();
+  p1b_granted_ = 0;
   p1b_accepted_.clear();
 
   // Grant own promise.
   if (ballot_ > promised_) promised_ = ballot_;
-  p1b_granted_.insert(self_index_);
+  p1b_granted_ |= bit(self_index_);
   for (const auto& [slot, acc] : accepted_) {
     if (slot >= next_deliver_) p1b_accepted_[slot] = acc;
   }
@@ -166,7 +178,7 @@ void PaxosCore::start_election() {
 
   broadcast(net::make_msg<P1a>(gid_, ballot_, next_deliver_ - 1));
   arm_election_timer();  // retry with a higher round if this attempt stalls
-  if (p1b_granted_.size() >= majority()) become_leader();
+  if (count(p1b_granted_) >= majority()) become_leader();
 }
 
 void PaxosCore::become_leader() {
@@ -186,7 +198,7 @@ void PaxosCore::become_leader() {
   // log stays contiguous.
   for (Slot s = next_deliver_; s <= max_slot; ++s) {
     auto it = p1b_accepted_.find(s);
-    propose(s, it != p1b_accepted_.end() ? it->second.second : Batch{});
+    propose(s, it != p1b_accepted_.end() ? it->second.second : std::make_shared<const Batch>());
   }
   p1b_accepted_.clear();
 
@@ -212,7 +224,7 @@ void PaxosCore::step_down(Ballot seen) {
 
 bool PaxosCore::submit(LogEntry entry) {
   if (halted_ || role_ != Role::Leader) return false;
-  if (!submitted_ids_.insert(entry.id.value).second) return true;  // duplicate
+  if (!submitted_ids_.insert(entry.id.value)) return true;  // duplicate
   pending_.push_back(std::move(entry));
   if (pending_.size() >= cfg_.max_batch) {
     flush_pending();
@@ -223,45 +235,43 @@ bool PaxosCore::submit(LogEntry entry) {
 }
 
 void PaxosCore::flush_pending() {
+  // Each batch leaves pending_ before it is proposed: in a one-member group
+  // propose() decides at once, and decide() may re-enter flush_pending() or
+  // a submit() may land, both of which must see only the entries still owed.
   if (cfg_.pipeline_depth == 0) {
     // Unbounded: everything pending becomes one slot (original behavior).
     if (pending_.empty()) return;
-    propose(next_slot_++, std::exchange(pending_, {}));
+    BatchPtr batch = share_batch(pending_.begin(), pending_.end());
+    pending_.clear();
+    propose(next_slot_++, std::move(batch));
     return;
   }
   // Pipelined: propose chunks of up to max_batch while the window has room.
   // Leftover entries stay pending and are re-flushed as decisions land, so
   // under load the per-slot batches grow instead of the slot count.
   while (!pending_.empty() && inflight_ < cfg_.pipeline_depth) {
-    if (pending_.size() <= cfg_.max_batch) {
-      propose(next_slot_++, std::exchange(pending_, {}));
-      break;
-    }
-    Batch chunk(std::make_move_iterator(pending_.begin()),
-                std::make_move_iterator(pending_.begin() +
-                                        static_cast<std::ptrdiff_t>(cfg_.max_batch)));
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(cfg_.max_batch));
-    propose(next_slot_++, std::move(chunk));
+    const auto chunk_end =
+        pending_.begin() + static_cast<std::ptrdiff_t>(std::min(pending_.size(), cfg_.max_batch));
+    BatchPtr batch = share_batch(pending_.begin(), chunk_end);
+    pending_.erase(pending_.begin(), chunk_end);
+    propose(next_slot_++, std::move(batch));
   }
   if (!pending_.empty()) arm_batch_timer();
 }
 
-void PaxosCore::propose(Slot slot, Batch batch) {
+void PaxosCore::propose(Slot slot, BatchPtr batch) {
   auto [it, inserted] = proposals_.try_emplace(slot);
   if (!inserted && it->second.decided) return;
   if (inserted) ++inflight_;
   it->second.batch = std::move(batch);
-  it->second.acks.clear();
-  it->second.acks.insert(self_index_);
+  it->second.acks = bit(self_index_);
 
   // Self-accept.
   accepted_[slot] = {ballot_, it->second.batch};
 
   broadcast(net::make_msg<P2a>(gid_, ballot_, slot, it->second.batch));
-  if (it->second.acks.size() >= majority()) {
-    Batch copy = it->second.batch;
-    decide(slot, std::move(copy), /*broadcast_commit=*/true);
+  if (count(it->second.acks) >= majority()) {
+    decide(slot, it->second.batch, /*broadcast_commit=*/true);
   }
 }
 
@@ -306,7 +316,7 @@ void PaxosCore::handle_p1a(ProcessId from, const P1a& m) {
     if (m.ballot > max_seen_ballot_ || role_ != Role::Follower) step_down(m.ballot);
     max_seen_ballot_ = std::max(max_seen_ballot_, m.ballot);
 
-    std::map<Slot, std::pair<Ballot, Batch>> acc;
+    AcceptedMap acc;
     for (const auto& [slot, entry] : accepted_) {
       if (slot > m.committed) acc[slot] = entry;
     }
@@ -315,8 +325,7 @@ void PaxosCore::handle_p1a(ProcessId from, const P1a& m) {
     }
     cb_.send(from, net::make_msg<P1b>(gid_, m.ballot, true, next_deliver_ - 1, std::move(acc)));
   } else {
-    cb_.send(from, net::make_msg<P1b>(gid_, m.ballot, false, next_deliver_ - 1,
-                                      std::map<Slot, std::pair<Ballot, Batch>>{}));
+    cb_.send(from, net::make_msg<P1b>(gid_, m.ballot, false, next_deliver_ - 1, AcceptedMap{}));
   }
   arm_election_timer();
 }
@@ -328,14 +337,14 @@ void PaxosCore::handle_p1b(ProcessId from, const P1b& m) {
     step_down(std::max(max_seen_ballot_, m.ballot));
     return;
   }
-  p1b_granted_.insert(index_of(from));
+  p1b_granted_ |= bit(index_of(from));
   for (const auto& [slot, entry] : m.accepted) {
     auto it = p1b_accepted_.find(slot);
     if (it == p1b_accepted_.end() || entry.first > it->second.first) {
       p1b_accepted_[slot] = entry;
     }
   }
-  if (p1b_granted_.size() >= majority()) become_leader();
+  if (count(p1b_granted_) >= majority()) become_leader();
 }
 
 void PaxosCore::handle_p2a(ProcessId from, const P2a& m) {
@@ -359,10 +368,9 @@ void PaxosCore::handle_p2b(ProcessId from, const P2b& m) {
   }
   auto it = proposals_.find(m.slot);
   if (it == proposals_.end() || it->second.decided) return;
-  it->second.acks.insert(index_of(from));
-  if (it->second.acks.size() >= majority()) {
-    Batch copy = it->second.batch;
-    decide(m.slot, std::move(copy), /*broadcast_commit=*/true);
+  it->second.acks |= bit(index_of(from));
+  if (count(it->second.acks) >= majority()) {
+    decide(m.slot, it->second.batch, /*broadcast_commit=*/true);
   }
 }
 
@@ -392,16 +400,15 @@ void PaxosCore::maybe_request_catchup(Slot leader_committed, ProcessId from) {
 
 // ---- learning --------------------------------------------------------------
 
-void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
+void PaxosCore::decide(Slot slot, const BatchPtr& batch, bool broadcast_commit) {
   if (slot < next_deliver_) return;  // already delivered
-  const bool fresh = !decided_.contains(slot);
-  if (fresh) decided_[slot] = std::move(batch);
+  const bool fresh = decided_.try_emplace(slot, batch).second;
   if (auto it = proposals_.find(slot); it != proposals_.end() && !it->second.decided) {
     it->second.decided = true;
     if (inflight_ > 0) --inflight_;
   }
   if (broadcast_commit && fresh) {
-    broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[slot]));
+    broadcast(net::make_msg<CommitMsg>(gid_, slot, batch));
   }
   advance_delivery();
   // A decision freed a pipeline slot; push the backlog into it right away.
@@ -417,7 +424,7 @@ void PaxosCore::advance_delivery() {
     if (it == decided_.end()) break;
     const Slot slot = next_deliver_;
     ++next_deliver_;
-    cb_.on_decide(slot, it->second);
+    cb_.on_decide(slot, *it->second);
   }
   trim();
 }

@@ -23,13 +23,15 @@
 // testable without a full deployment.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
+#include "common/bounded.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/message.h"
@@ -58,6 +60,13 @@ struct LogEntry {
 };
 
 using Batch = std::vector<LogEntry>;
+/// A proposal's batch is built once, by the leader that first proposes it,
+/// and never changes afterwards: the proposal, the acceptor and learner
+/// state on every replica and every P1b/P2a/CommitMsg carrying it share this
+/// one immutable object instead of holding copies.
+using BatchPtr = std::shared_ptr<const Batch>;
+/// Acceptor state: slot -> (ballot it was accepted in, batch).
+using AcceptedMap = std::map<Slot, std::pair<Ballot, BatchPtr>>;
 
 struct PaxosConfig {
   Duration heartbeat_interval = msec(20);
@@ -91,8 +100,8 @@ struct P1b final : net::Message {
   Ballot ballot;
   bool granted;
   Slot committed;
-  std::map<Slot, std::pair<Ballot, Batch>> accepted;
-  P1b(GroupId g, Ballot b, bool ok, Slot c, std::map<Slot, std::pair<Ballot, Batch>> acc)
+  AcceptedMap accepted;
+  P1b(GroupId g, Ballot b, bool ok, Slot c, AcceptedMap acc)
       : gid(g), ballot(b), granted(ok), committed(c), accepted(std::move(acc)) {}
   const char* type_name() const override { return "paxos.p1b"; }
   std::size_t size_bytes() const override;
@@ -102,8 +111,9 @@ struct P2a final : net::Message {
   GroupId gid;
   Ballot ballot;
   Slot slot;
-  Batch batch;
-  P2a(GroupId g, Ballot b, Slot s, Batch bt) : gid(g), ballot(b), slot(s), batch(std::move(bt)) {}
+  BatchPtr batch;
+  P2a(GroupId g, Ballot b, Slot s, BatchPtr bt)
+      : gid(g), ballot(b), slot(s), batch(std::move(bt)) {}
   const char* type_name() const override { return "paxos.p2a"; }
   std::size_t size_bytes() const override;
 };
@@ -120,8 +130,8 @@ struct P2b final : net::Message {
 struct CommitMsg final : net::Message {
   GroupId gid;
   Slot slot;
-  Batch batch;
-  CommitMsg(GroupId g, Slot s, Batch b) : gid(g), slot(s), batch(std::move(b)) {}
+  BatchPtr batch;
+  CommitMsg(GroupId g, Slot s, BatchPtr b) : gid(g), slot(s), batch(std::move(b)) {}
   const char* type_name() const override { return "paxos.commit"; }
   std::size_t size_bytes() const override;
 };
@@ -154,6 +164,13 @@ class PaxosCore {
     std::function<void(bool leading)> on_leadership;
   };
 
+  /// Entry ids the leader remembers for submission dedup. Retransmitted
+  /// submissions (amcast timestamp pushes retry every 50 ms, clients every
+  /// few hundred) arrive well inside this window even at one submission per
+  /// microsecond; older ids are forgotten, so a long leadership does not
+  /// grow the set without bound.
+  static constexpr std::size_t kSubmitDedupWindow = std::size_t{1} << 16;
+
   PaxosCore(sim::Engine& engine, GroupId gid, std::vector<ProcessId> members, ProcessId self,
             PaxosConfig config, Callbacks callbacks, std::uint64_t seed);
 
@@ -177,6 +194,12 @@ class PaxosCore {
   /// Best guess at the current leader (self while leading).
   ProcessId leader_hint() const;
   Slot delivered_upto() const { return next_deliver_ - 1; }
+  /// The decided batch of `slot` while it is retained (null otherwise).
+  /// Tests use it to check that decisions share the proposed batch.
+  BatchPtr decided_batch(Slot slot) const;
+  /// Entry ids currently held for submission dedup (at most
+  /// kSubmitDedupWindow).
+  std::size_t submit_dedup_size() const { return submitted_ids_.size(); }
   GroupId group() const { return gid_; }
   const std::vector<ProcessId>& members() const { return members_; }
 
@@ -198,9 +221,14 @@ class PaxosCore {
  private:
   enum class Role { Follower, Candidate, Leader };
 
+  /// Member indexes as bits (groups have at most 64 members).
+  using MemberMask = std::uint64_t;
+  static std::size_t count(MemberMask m) { return static_cast<std::size_t>(std::popcount(m)); }
+  static MemberMask bit(std::uint32_t index) { return MemberMask{1} << index; }
+
   struct Proposal {
-    Batch batch;
-    std::unordered_set<std::uint32_t> acks;
+    BatchPtr batch;
+    MemberMask acks = 0;
     bool decided = false;
   };
 
@@ -220,10 +248,10 @@ class PaxosCore {
   void handle_heartbeat(ProcessId from, const HeartbeatMsg& m);
   void handle_learnreq(ProcessId from, const LearnReq& m);
 
-  void propose(Slot slot, Batch batch);
+  void propose(Slot slot, BatchPtr batch);
   void flush_pending();
   void arm_batch_timer();
-  void decide(Slot slot, Batch batch, bool broadcast_commit);
+  void decide(Slot slot, const BatchPtr& batch, bool broadcast_commit);
   void advance_delivery();
   void trim();
   void arm_election_timer();
@@ -244,24 +272,26 @@ class PaxosCore {
 
   // Acceptor state.
   Ballot promised_ = 0;
-  std::map<Slot, std::pair<Ballot, Batch>> accepted_;
+  AcceptedMap accepted_;
 
   // Learner state.
-  std::map<Slot, Batch> decided_;
+  std::map<Slot, BatchPtr> decided_;
   Slot next_deliver_ = 1;
 
   // Proposer state.
   Role role_ = Role::Follower;
   Ballot ballot_ = 0;           // ballot of my current candidacy/leadership
   Ballot max_seen_ballot_ = 0;  // highest ballot observed anywhere
-  std::unordered_set<std::uint32_t> p1b_granted_;
-  std::map<Slot, std::pair<Ballot, Batch>> p1b_accepted_;
+  MemberMask p1b_granted_ = 0;
+  AcceptedMap p1b_accepted_;
   Slot next_slot_ = 1;
   std::map<Slot, Proposal> proposals_;
   /// Count of undecided entries in proposals_ (the pipeline occupancy).
   std::size_t inflight_ = 0;
+  /// Submitted entries not yet proposed. Keeps its capacity across flushes:
+  /// each flush copies the entries into a right-sized shared batch.
   Batch pending_;
-  std::unordered_set<std::uint64_t> submitted_ids_;
+  BoundedSet<std::uint64_t> submitted_ids_{kSubmitDedupWindow};
 
   sim::TimerId election_timer_ = 0;
   sim::TimerId heartbeat_timer_ = 0;

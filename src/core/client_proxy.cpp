@@ -87,7 +87,7 @@ stats::SpanStore* ClientProxy::spans() {
 void ClientProxy::record_phase(SpanPhase p, Time start, GroupId group, std::int64_t arg) {
   stats::SpanStore* sp = spans();
   if (sp == nullptr || !sp->enabled() || root_span_ == 0) return;
-  sp->record({.trace_id = cmd_.trace_id,
+  sp->record({.trace_id = cmd().trace_id,
               .parent = root_span_,
               .phase = p,
               .start = start,
@@ -112,7 +112,7 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
   Time a = s;
   if (batched()) {
     const Time f = std::clamp(batch_flushed_at_, s, now);
-    sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kBatch,
+    sp->record({.trace_id = cmd().trace_id, .parent = root_span_, .phase = SpanPhase::kBatch,
                 .start = s, .end = f, .node = pid().value, .group = r.from_group});
     a = f;
   }
@@ -120,13 +120,13 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
   const Time es = std::clamp(r.timing.exec_start, d, now);
   const Time ee = std::clamp(r.timing.exec_end, es, now);
   const GroupId g = r.from_group;
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kAmcast,
+  sp->record({.trace_id = cmd().trace_id, .parent = root_span_, .phase = SpanPhase::kAmcast,
               .start = a, .end = d, .node = pid().value, .group = g});
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kQueue,
+  sp->record({.trace_id = cmd().trace_id, .parent = root_span_, .phase = SpanPhase::kQueue,
               .start = d, .end = es, .node = pid().value, .group = g});
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kExecute,
+  sp->record({.trace_id = cmd().trace_id, .parent = root_span_, .phase = SpanPhase::kExecute,
               .start = es, .end = ee, .node = pid().value, .group = g});
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kReply,
+  sp->record({.trace_id = cmd().trace_id, .parent = root_span_, .phase = SpanPhase::kReply,
               .start = ee, .end = now, .node = pid().value, .group = g});
 }
 
@@ -177,20 +177,20 @@ void ClientProxy::install_prefetch(const ProphecyMsg& p) {
 
 bool ClientProxy::try_repair_reroute() {
   GroupId p = kNoGroup;
-  for (VarId v : cmd_.vars()) {
+  for (VarId v : cmd_vars_) {
     auto it = cache_.find(v);
     if (it == cache_.end() || (p != kNoGroup && it->second != p)) return false;
     p = it->second;
   }
   if (p == kNoGroup) return false;
   ctr_.repair_reroutes->inc();
-  trace(TraceEvent::kRepairReroute, cmd_.id.value, static_cast<std::int64_t>(p.value));
+  trace(TraceEvent::kRepairReroute, cmd().id.value, static_cast<std::int64_t>(p.value));
   stats::SpanStore* sp = spans();
   if (sp != nullptr && sp->enabled() && root_span_ != 0) {
     // Marker span (fold=false): the retry window it annotates was already
     // decomposed into amcast/queue/execute/reply by decompose_reply.
     const Time now = network().engine().now();
-    sp->record({.trace_id = cmd_.trace_id, .parent = root_span_,
+    sp->record({.trace_id = cmd().trace_id, .parent = root_span_,
                 .phase = SpanPhase::kRepair, .start = now, .end = now,
                 .node = pid().value, .group = p, .arg = retries_},
                /*fold=*/false);
@@ -199,13 +199,15 @@ bool ClientProxy::try_repair_reroute() {
   return true;
 }
 
-void ClientProxy::issue(Command cmd, DoneFn done) {
+void ClientProxy::issue(Command command, DoneFn done) {
   DSSMR_ASSERT_MSG(phase_ == Phase::kIdle, "one outstanding command per client proxy");
-  cmd_ = std::move(cmd);
-  cmd_.id = fresh_id();
+  command.id = fresh_id();
   // The command's stable logical id doubles as its trace id: it survives
   // retries and is copied onto derived moves, so all spans share one tree.
-  cmd_.trace_id = cmd_.id.value;
+  command.trace_id = command.id.value;
+  command.vars_into(cmd_vars_);
+  // Wrapped once: every attempt, resend and consult carries this payload.
+  cmd_msg_ = net::make_msg<CommandMsg>(std::move(command));
   done_ = std::move(done);
   retries_ = 0;
   outstanding_consults_.clear();
@@ -221,7 +223,7 @@ void ClientProxy::start_attempt() {
   if (cfg_.strategy == Strategy::kStaticSsmr) {
     // Static oracle: destinations are fixed and always correct.
     std::vector<GroupId> dests;
-    for (VarId v : cmd_.vars()) {
+    for (VarId v : cmd_vars_) {
       const GroupId p = cfg_.static_map->locate(v);
       if (std::find(dests.begin(), dests.end(), p) == dests.end()) dests.push_back(p);
     }
@@ -231,11 +233,11 @@ void ClientProxy::start_attempt() {
     return;
   }
 
-  if (cfg_.use_cache && cmd_.type == CommandType::kAccess) {
+  if (cfg_.use_cache && cmd().type == CommandType::kAccess) {
     // Cache fast path: all variables cached on the same partition.
     GroupId p = kNoGroup;
     bool usable = true;
-    for (VarId v : cmd_.vars()) {
+    for (VarId v : cmd_vars_) {
       auto it = cache_.find(v);
       if (it == cache_.end() || (p != kNoGroup && it->second != p)) {
         usable = false;
@@ -250,7 +252,7 @@ void ClientProxy::start_attempt() {
         // via a prophecy prefetch; clear the flags so each prefetched entry
         // is credited at most once.
         bool from_prefetch = false;
-        for (VarId v : cmd_.vars()) {
+        for (VarId v : cmd_vars_) {
           auto mit = cache_meta_.find(v);
           if (mit != cache_meta_.end() && mit->second.prefetched) {
             from_prefetch = true;
@@ -262,7 +264,7 @@ void ClientProxy::start_attempt() {
           stats::SpanStore* sp = spans();
           if (sp != nullptr && sp->enabled() && root_span_ != 0) {
             const Time now = network().engine().now();
-            sp->record({.trace_id = cmd_.trace_id, .parent = root_span_,
+            sp->record({.trace_id = cmd().trace_id, .parent = root_span_,
                         .phase = SpanPhase::kPrefetch, .start = now, .end = now,
                         .node = pid().value, .group = p},
                        /*fold=*/false);
@@ -293,13 +295,14 @@ void ClientProxy::do_consult() {
     outstanding_consults_.clear();
   }
   const MsgId id = fresh_id();
-  trace(TraceEvent::kConsult, id.value, static_cast<std::int64_t>(cmd_.id.value));
+  trace(TraceEvent::kConsult, id.value, static_cast<std::int64_t>(cmd().id.value));
   if (outstanding_consults_.size() >= kMaxOutstandingConsults) {
     outstanding_consults_.erase(outstanding_consults_.begin());  // drop the oldest
   }
   outstanding_consults_.push_back(id.value);
   phase_ = Phase::kConsult;
-  amcast_with_id(id, {cfg_.oracle_group}, net::make_msg<ConsultMsg>(id, cmd_));
+  amcast_with_id(id, {cfg_.oracle_group},
+                 net::make_msg<ConsultMsg>(id, smr::CommandPtr(cmd_msg_, &cmd())));
   // Consult retransmissions use entirely fresh ids: consults are read-only,
   // so re-asking is harmless and dodges the multicast dedup.
   resend_ = [this] { do_consult(); };
@@ -324,11 +327,11 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
     return;
   }
 
-  if (cmd_.type == CommandType::kCreate) {
+  if (cmd().type == CommandType::kCreate) {
     send_command({p.dest, cfg_.oracle_group}, Phase::kAwaitCommand);
     return;
   }
-  if (cmd_.type == CommandType::kDelete) {
+  if (cmd().type == CommandType::kDelete) {
     DSSMR_ASSERT(!p.locations.empty());
     send_command({p.locations[0].second, cfg_.oracle_group}, Phase::kAwaitCommand);
     return;
@@ -383,9 +386,9 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   Command move;
   move.type = CommandType::kMove;
   move.id = fresh_id();
-  move.trace_id = cmd_.trace_id;  // the move belongs to the command's trace
+  move.trace_id = cmd().trace_id;  // the move belongs to the command's trace
   trace(TraceEvent::kMoveIssued, move.id.value, static_cast<std::int64_t>(dest.value));
-  move.write_set = cmd_.vars();
+  move.write_set = cmd_vars_;
   move.move_sources = sources;
   move.move_dest = dest;
   // Through the coalescer relay the multicast sender is the relay, not us —
@@ -423,21 +426,22 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
 }
 
 void ClientProxy::send_command(std::vector<GroupId> dests, Phase next_phase) {
-  awaited_reply_ = cmd_.id;
+  awaited_reply_ = cmd().id;
   phase_ = next_phase;
   sent_at_ = network().engine().now();  // first send; retransmissions keep the window
   batch_flushed_at_ = 0;
-  auto payload = net::make_msg<CommandMsg>(cmd_);
+  cmd_dests_ = std::move(dests);
   // The flush callback pins down when the first send actually left the relay;
   // it checks the window is still the one it was armed for, so a late flush
   // of a retried window never pollutes a newer one. Retransmissions pass no
   // callback — the window keeps its first flush time.
   const Time sent = sent_at_;
-  amcast_with_id(fresh_id(), dests, payload, [this, sent](Time flushed_at) {
+  amcast_with_id(fresh_id(), cmd_dests_, cmd_msg_, [this, sent](Time flushed_at) {
     if (sent_at_ == sent && batch_flushed_at_ == 0) batch_flushed_at_ = flushed_at;
   });
-  resend_ = [this, dests, payload] {
-    amcast_with_id(fresh_id(), dests, payload);
+  // Same payload, same destinations, fresh multicast id.
+  resend_ = [this] {
+    amcast_with_id(fresh_id(), cmd_dests_, cmd_msg_);
     arm_timeout();
   };
   arm_timeout();
@@ -447,9 +451,9 @@ void ClientProxy::do_fallback() {
   // Termination guarantee: execute as an S-SMR multi-partition command on
   // every partition — no locality check can fail there.
   ctr_.fallbacks->inc();
-  trace(TraceEvent::kFallback, cmd_.id.value, retries_);
+  trace(TraceEvent::kFallback, cmd().id.value, retries_);
   fallback_start_ = network().engine().now();
-  DSSMR_ASSERT(cmd_.type == CommandType::kAccess);
+  DSSMR_ASSERT(cmd().type == CommandType::kAccess);
   send_command(cfg_.partition_universe != nullptr ? *cfg_.partition_universe
                                                   : cfg_.partitions,
                Phase::kAwaitFallback);
@@ -474,13 +478,13 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
       move_start_ = 0;  // window closed: the retry's do_consult must not re-close it
       // Cache exactly what the destination reports as installed: the
       // destination gives up its claim on variables no source shipped
-      // (a stale mapping), so caching all of cmd_.vars() would poison the
+      // (a stale mapping), so caching all of cmd_vars_ would poison the
       // cache with locations the partition knows are wrong.
-      for (VarId v : cmd_.vars()) cache_.erase(v);
+      for (VarId v : cmd_vars_) cache_.erase(v);
       if (const auto* res = net::msg_cast<MoveResultMsg>(r->app_reply)) {
         for (VarId v : res->installed) cache_[v] = pending_dest_;
       } else if (r->code == ReplyCode::kOk) {
-        for (VarId v : cmd_.vars()) cache_[v] = pending_dest_;
+        for (VarId v : cmd_vars_) cache_[v] = pending_dest_;
       }
       // The destination's repair entries carry the post-move epochs; applied
       // after the install loop so the epoch sidecar catches up with the cache.
@@ -493,7 +497,7 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         // move forever and the S-SMR fallback is never reached.
         ctr_.retries->inc();
         ++retries_;
-        trace(TraceEvent::kRetry, cmd_.id.value, retries_);
+        trace(TraceEvent::kRetry, cmd().id.value, retries_);
         if (retries_ > cfg_.max_retries) {
           do_fallback();
         } else {
@@ -512,9 +516,9 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         timeout_ = 0;
         decompose_reply(*r);
         ctr_.retries->inc();
-        for (VarId v : cmd_.vars()) cache_.erase(v);
+        for (VarId v : cmd_vars_) cache_.erase(v);
         ++retries_;
-        trace(TraceEvent::kRetry, cmd_.id.value, retries_);
+        trace(TraceEvent::kRetry, cmd().id.value, retries_);
         // Piggybacked repair: install the reply's ⟨var, partition, epoch⟩
         // entries (monotone) and, if they pin every variable to one
         // partition, go straight there — the common stale-cache retry then
@@ -568,7 +572,7 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
     if (fallback_start_ != 0) {
       // Server-side style view of the S-SMR fallback window; the window's
       // time is already folded as amcast/queue/execute/reply spans.
-      sp->record({.trace_id = cmd_.trace_id,
+      sp->record({.trace_id = cmd().trace_id,
                   .parent = root_span_,
                   .phase = SpanPhase::kFallback,
                   .start = fallback_start_,
@@ -577,7 +581,7 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
                   .arg = retries_},
                  /*fold=*/false);
     }
-    sp->record({.trace_id = cmd_.trace_id,
+    sp->record({.trace_id = cmd().trace_id,
                 .id = root_span_,
                 .phase = SpanPhase::kCommand,
                 .start = issued_at_,
@@ -587,8 +591,8 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
     root_span_ = 0;
   }
 
-  if (cfg_.send_hints && code == ReplyCode::kOk && !cmd_.hint_edges.empty()) {
-    amcast({cfg_.oracle_group}, net::make_msg<HintMsg>(cmd_.hint_edges));
+  if (cfg_.send_hints && code == ReplyCode::kOk && !cmd().hint_edges.empty()) {
+    amcast({cfg_.oracle_group}, net::make_msg<HintMsg>(cmd().hint_edges));
     ctr_.hints->inc();
   }
 

@@ -87,7 +87,7 @@ class ClientProxy : public multicast::ClientNode {
 
   /// Issues one command; `done` fires exactly once. One outstanding command
   /// per proxy (clients are closed-loop, as in the paper's evaluation).
-  void issue(smr::Command cmd, DoneFn done);
+  void issue(smr::Command command, DoneFn done);
 
   bool busy() const { return phase_ != Phase::kIdle; }
 
@@ -172,7 +172,15 @@ class ClientProxy : public multicast::ClientNode {
   stats::TimeSeries* moves_series_ = nullptr;
 
   Phase phase_ = Phase::kIdle;
-  smr::Command cmd_;
+  /// The outstanding command, wrapped once at issue(): every attempt, resend
+  /// and consult carries this same immutable payload instead of a copy.
+  std::shared_ptr<const smr::CommandMsg> cmd_msg_;
+  const smr::Command& cmd() const { return cmd_msg_->cmd; }
+  /// cmd().vars(), computed once per issue() into a buffer that keeps its
+  /// capacity across commands.
+  std::vector<VarId> cmd_vars_;
+  /// Destinations of the current command send (resends reuse them).
+  std::vector<GroupId> cmd_dests_;
   DoneFn done_;
   int retries_ = 0;
   Time issued_at_ = 0;

@@ -148,7 +148,7 @@ void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
 
 void OracleNode::handle_consult(const multicast::AmcastMessage& m, const ConsultMsg& consult) {
   bump(ctr_.consults);
-  const Command& cmd = consult.cmd;
+  const Command& cmd = *consult.cmd;
   const ProcessId client = m.sender;
   auto prophecy = std::make_shared<ProphecyMsg>(consult.consult_id, ReplyCode::kOk);
 

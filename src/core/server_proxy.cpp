@@ -10,6 +10,7 @@ namespace dssmr::core {
 using smr::BulkMoveMsg;
 using smr::Command;
 using smr::CommandMsg;
+using smr::CommandPtr;
 using smr::CommandType;
 using smr::RepairEntry;
 using smr::ReplyCode;
@@ -125,8 +126,9 @@ void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
                                               timing, std::move(repair)));
 }
 
-std::vector<RepairEntry> PartitionServer::make_repair(const std::vector<VarId>& vars) const {
+std::vector<RepairEntry> PartitionServer::make_repair(const Command& cmd) const {
   if (!config_.cache_repair) return {};
+  const std::vector<VarId> vars = cmd.vars();
   std::vector<RepairEntry> repair;
   repair.reserve(vars.size());
   for (VarId v : vars) {
@@ -151,16 +153,18 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
           mv.move_dest == group() ||
           std::find(mv.move_sources.begin(), mv.move_sources.end(), group()) !=
               mv.move_sources.end();
-      if (involved) deliver_command(m, mv);
+      if (involved) deliver_command(m, CommandPtr(m.payload, &mv));
     }
     return;
   }
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
   DSSMR_ASSERT_MSG(cm != nullptr, "partition received a non-command payload");
-  deliver_command(m, cm->cmd);
+  deliver_command(m, CommandPtr(m.payload, &cm->cmd));
 }
 
-void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const Command& cmd) {
+void PartitionServer::deliver_command(const multicast::AmcastMessage& m,
+                                      const CommandPtr& cmd_ptr) {
+  const Command& cmd = *cmd_ptr;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
 
   // Retried command that already completed here: re-send the cached outcome.
@@ -168,7 +172,7 @@ void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const C
     if (is_leader() && client != kNoProcess) {
       send_direct(client,
                   net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), cached->app_reply,
-                                          cached->timing, make_repair(cmd.vars())));
+                                          cached->timing, make_repair(cmd)));
     }
     return;
   }
@@ -185,7 +189,7 @@ void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const C
       if (cmd.id.value == it->second.cmd_id && is_leader() && client != kNoProcess) {
         const CachedReply& r = it->second.reply;
         send_direct(client, net::make_msg<ReplyMsg>(cmd.id, r.code, group(), r.app_reply,
-                                                    r.timing, make_repair(cmd.vars())));
+                                                    r.timing, make_repair(cmd)));
       }
       return;
     }
@@ -194,27 +198,31 @@ void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const C
   switch (cmd.type) {
     case CommandType::kAccess:
       if (m.dests.size() == 1) {
-        deliver_access_single(m, cmd);
+        deliver_access_single(m, cmd_ptr);
       } else {
-        deliver_access_multi(m, cmd);
+        deliver_access_multi(m, cmd_ptr);
       }
       break;
     case CommandType::kMove:
-      deliver_move(m, cmd);
+      deliver_move(m, cmd_ptr);
       break;
     case CommandType::kCreate:
-      deliver_create(m, cmd);
+      deliver_create(cmd_ptr);
       break;
     case CommandType::kDelete:
-      deliver_delete(m, cmd);
+      deliver_delete(cmd_ptr);
       break;
+    case CommandType::kReconfig:
+      // Membership records are multicast to the oracle group only.
+      DSSMR_FAIL("partition received a reconfig record");
   }
 }
 
 // ---- access: single partition (fast path) -----------------------------------
 
 void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
-                                            const Command& cmd) {
+                                            const CommandPtr& cmd_ptr) {
+  const Command& cmd = *cmd_ptr;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
   const Time delivered = engine().now();
   // A retired partition's "your information is stale" answer upgrades to
@@ -234,7 +242,7 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
       // re-route directly instead of re-consulting the oracle.
       reply_to(client, cmd.id, stale, nullptr, /*cache=*/false,
                ReplyTiming{delivered, delivered, delivered}, /*access_final=*/false,
-               make_repair(cmd.vars()));
+               make_repair(cmd));
       return;
     }
   }
@@ -243,7 +251,7 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
       bump(ctr_.retries_issued);
       reply_to(client, cmd.id, stale, nullptr, /*cache=*/false,
                ReplyTiming{delivered, delivered, delivered}, /*access_final=*/false,
-               make_repair(cmd.vars()));
+               make_repair(cmd));
       return;
     }
   }
@@ -258,7 +266,8 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
       .ready = nullptr,
       .service = service,
       .run =
-          [this, cmd, client, delivered, service] {
+          [this, cmd_ptr, client, delivered, service] {
+            const Command& cmd = *cmd_ptr;
             inflight_.erase(cmd.id);
             // run() fires when the service time elapses, i.e. at exec end.
             const Time exec_end = engine().now();
@@ -270,20 +279,19 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
             // our variables (it would have been ordered before us and already
             // executed), but a *failed* inbound move can leave an owned
             // variable with no value; treat as stale information.
-            for (VarId v : cmd.vars()) {
-              if (!store_.contains(v)) {
-                bump(ctr_.retries_issued);
-                reply_to(client, cmd.id,
-                         retired_ ? ReplyCode::kRetired : ReplyCode::kRetry, nullptr,
-                         /*cache=*/false, timing, /*access_final=*/false,
-                         make_repair(cmd.vars()));
-                return;
-              }
+            const auto missing = [this](VarId v) { return !store_.contains(v); };
+            if (std::any_of(cmd.read_set.begin(), cmd.read_set.end(), missing) ||
+                std::any_of(cmd.write_set.begin(), cmd.write_set.end(), missing)) {
+              bump(ctr_.retries_issued);
+              reply_to(client, cmd.id, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
+                       nullptr, /*cache=*/false, timing, /*access_final=*/false,
+                       make_repair(cmd));
+              return;
             }
             smr::ExecutionView view{store_};
             net::MessagePtr app_reply = app_->execute(cmd, view);
             reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
-                     timing, /*access_final=*/true, make_repair(cmd.vars()));
+                     timing, /*access_final=*/true, make_repair(cmd));
           },
   });
 }
@@ -291,7 +299,8 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
 // ---- access: multi partition (S-SMR execution) -------------------------------
 
 void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
-                                           const Command& cmd) {
+                                           const CommandPtr& cmd_ptr) {
+  const Command& cmd = *cmd_ptr;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
   const Time delivered = engine().now();
   bump(ctr_.multi_partition);
@@ -307,7 +316,8 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
       .on_head =
-          [this, cmd, others] {
+          [this, cmd_ptr, others] {
+            const Command& cmd = *cmd_ptr;
             // Ship every variable of the command we own (a snapshot), plus an
             // implicit signal, to the other involved partitions.
             std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
@@ -331,7 +341,8 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
           },
       .service = service,
       .run =
-          [this, cmd, client, delivered, service] {
+          [this, cmd_ptr, client, delivered, service] {
+            const Command& cmd = *cmd_ptr;
             inflight_.erase(cmd.id);
             const Time exec_end = engine().now();
             const Time exec_start = exec_end - service;
@@ -350,14 +361,16 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
             if (it != coord_.end()) coord_.erase(it);
             reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
                      ReplyTiming{delivered, exec_start, exec_end}, /*access_final=*/true,
-                     make_repair(cmd.vars()));
+                     make_repair(cmd));
           },
   });
 }
 
 // ---- move --------------------------------------------------------------------
 
-void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Command& cmd) {
+void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
+                                   const CommandPtr& cmd_ptr) {
+  const Command& cmd = *cmd_ptr;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
   const bool is_dest = cmd.move_dest == group();
   const std::vector<VarId> vars = cmd.vars();
@@ -390,13 +403,13 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
         .ready = nullptr,
         .service = service,
         .run =
-            [this, mine, dest = cmd.move_dest, id = cmd.id, tid = cmd.trace_id, delivered,
-             service] {
-              inflight_.erase(id);
+            [this, mine, cmd_ptr, delivered, service] {
+              const Command& cmd = *cmd_ptr;
+              inflight_.erase(cmd.id);
               const Time exec_end = engine().now();
               const Time exec_start = exec_end - service;
-              span(SpanPhase::kQueue, tid, delivered, exec_start);
-              span(SpanPhase::kExecute, tid, exec_start, exec_end,
+              span(SpanPhase::kQueue, cmd.trace_id, delivered, exec_start);
+              span(SpanPhase::kExecute, cmd.trace_id, exec_start, exec_end,
                    static_cast<std::int64_t>(mine.size()));
               std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
               for (VarId v : mine) {
@@ -404,8 +417,8 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
                   ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(std::move(val)));
                 }
               }
-              rmcast({dest},
-                     net::make_msg<VarShipMsg>(id, group(), /*is_move=*/true, std::move(ship)));
+              rmcast({cmd.move_dest}, net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/true,
+                                                                std::move(ship)));
             },
     });
     return;
@@ -447,12 +460,14 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
           },
       .service = service,
       .run =
-          [this, vars, client, id = cmd.id, tid = cmd.trace_id, delivered, service] {
+          [this, vars, client, cmd_ptr, delivered, service] {
+            const Command& cmd = *cmd_ptr;
+            const MsgId id = cmd.id;
             inflight_.erase(id);
             const Time exec_end = engine().now();
             const Time exec_start = exec_end - service;
-            span(SpanPhase::kQueue, tid, delivered, exec_start);
-            span(SpanPhase::kExecute, tid, exec_start, exec_end,
+            span(SpanPhase::kQueue, cmd.trace_id, delivered, exec_start);
+            span(SpanPhase::kExecute, cmd.trace_id, exec_start, exec_end,
                  static_cast<std::int64_t>(vars.size()));
             auto it = coord_.find(id);
             std::vector<VarId> installed;
@@ -492,15 +507,15 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
             }
             reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)),
                      /*cache=*/true, ReplyTiming{delivered, exec_start, exec_end},
-                     /*access_final=*/false, make_repair(vars));
+                     /*access_final=*/false, make_repair(cmd));
           },
   });
 }
 
 // ---- create / delete ---------------------------------------------------------
 
-void PartitionServer::deliver_create(const multicast::AmcastMessage& m, const Command& cmd) {
-  (void)m;
+void PartitionServer::deliver_create(const CommandPtr& cmd_ptr) {
+  const Command& cmd = *cmd_ptr;
   DSSMR_ASSERT(cmd.write_set.size() == 1);
   const VarId v = cmd.write_set[0];
   if (owned_.contains(v)) {
@@ -520,24 +535,25 @@ void PartitionServer::deliver_create(const multicast::AmcastMessage& m, const Co
       .ready = nullptr,
       .service = config_.create_delete_service,
       .run =
-          [this, v, id = cmd.id, tid = cmd.trace_id, delivered] {
-            inflight_.erase(id);
+          [this, v, cmd_ptr, delivered] {
+            const Command& cmd = *cmd_ptr;
+            inflight_.erase(cmd.id);
             const Time exec_end = engine().now();
             const Time exec_start = exec_end - config_.create_delete_service;
-            span(SpanPhase::kQueue, tid, delivered, exec_start);
-            span(SpanPhase::kExecute, tid, exec_start, exec_end);
+            span(SpanPhase::kQueue, cmd.trace_id, delivered, exec_start);
+            span(SpanPhase::kExecute, cmd.trace_id, exec_start, exec_end);
             if (owned_.contains(v) && !store_.contains(v)) {
               store_.put(v, app_->make_default(v));
             }
             // Execution-atomicity signal: the oracle replies to the client
             // only after the partition has applied the create.
-            rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
+            rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(cmd.id, group()));
           },
   });
 }
 
-void PartitionServer::deliver_delete(const multicast::AmcastMessage& m, const Command& cmd) {
-  (void)m;
+void PartitionServer::deliver_delete(const CommandPtr& cmd_ptr) {
+  const Command& cmd = *cmd_ptr;
   DSSMR_ASSERT(cmd.write_set.size() == 1);
   const VarId v = cmd.write_set[0];
   owned_.erase(v);
@@ -550,14 +566,15 @@ void PartitionServer::deliver_delete(const multicast::AmcastMessage& m, const Co
       .ready = nullptr,
       .service = config_.create_delete_service,
       .run =
-          [this, v, id = cmd.id, tid = cmd.trace_id, delivered] {
-            inflight_.erase(id);
+          [this, v, cmd_ptr, delivered] {
+            const Command& cmd = *cmd_ptr;
+            inflight_.erase(cmd.id);
             const Time exec_end = engine().now();
             const Time exec_start = exec_end - config_.create_delete_service;
-            span(SpanPhase::kQueue, tid, delivered, exec_start);
-            span(SpanPhase::kExecute, tid, exec_start, exec_end);
+            span(SpanPhase::kQueue, cmd.trace_id, delivered, exec_start);
+            span(SpanPhase::kExecute, cmd.trace_id, exec_start, exec_end);
             store_.erase(v);
-            rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
+            rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(cmd.id, group()));
           },
   });
 }

@@ -116,13 +116,14 @@ class PartitionServer : public multicast::GroupNode {
 
   /// Shared prologue (reply-cache resend, inflight dedup, access watermark)
   /// plus the per-type dispatch; called once per CommandMsg and once per
-  /// relevant sub-move of a BulkMoveMsg.
-  void deliver_command(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_access_single(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_access_multi(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_move(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_create(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
+  /// relevant sub-move of a BulkMoveMsg. `cmd` aliases the delivered payload:
+  /// execution closures hold it instead of copying the command.
+  void deliver_command(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
+  void deliver_access_single(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
+  void deliver_access_multi(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
+  void deliver_move(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
+  void deliver_create(const smr::CommandPtr& cmd);
+  void deliver_delete(const smr::CommandPtr& cmd);
 
   /// `access_final` marks the settled outcome of a kAccess command; it also
   /// advances the per-client dedup watermark (see `access_final_`).
@@ -130,9 +131,10 @@ class PartitionServer : public multicast::GroupNode {
                 net::MessagePtr app_reply, bool cache, smr::ReplyTiming timing = {},
                 bool access_final = false, std::vector<smr::RepairEntry> repair = {});
   /// Piggybacked repair entries for `cmd`'s variables ({} when cache repair
-  /// is off). Maintained identically on every replica, so whichever replica
-  /// currently leads answers with the same facts.
-  std::vector<smr::RepairEntry> make_repair(const std::vector<VarId>& vars) const;
+  /// is off, without computing the variable set). Maintained identically on
+  /// every replica, so whichever replica currently leads answers with the
+  /// same facts.
+  std::vector<smr::RepairEntry> make_repair(const smr::Command& cmd) const;
   Coord& coord(MsgId cmd_id);
   void bump(stats::Counter* c);
   /// Leader-gated windowed heat (stats::Recorder); recorded at the exact

@@ -48,7 +48,7 @@ std::uint64_t AmcastCore::Pending::bound() const {
 
 bool AmcastCore::on_log_entry(const consensus::LogEntry& entry) {
   if (const auto* stamp = net::msg_cast<StampEntry>(entry.payload)) {
-    process_stamp(*stamp);
+    process_stamp(entry.payload, *stamp);
     return true;
   }
   if (const auto* ts = net::msg_cast<TsEntry>(entry.payload)) {
@@ -58,12 +58,12 @@ bool AmcastCore::on_log_entry(const consensus::LogEntry& entry) {
   return false;
 }
 
-void AmcastCore::process_stamp(const StampEntry& e) {
+void AmcastCore::process_stamp(const net::MessagePtr& payload, const StampEntry& e) {
   const MsgId mid = e.msg.id;
   if (delivered_.contains(mid)) return;  // duplicate of an already-delivered message
   Pending& p = pending_[mid];
   if (p.local_ts) return;  // duplicate stamp
-  p.msg = e.msg;
+  p.stamp = std::shared_ptr<const StampEntry>(payload, &e);
   p.local_ts = ++clock_;
   p.ts[self_group_] = *p.local_ts;
   p.stamped_at = engine_.now();
@@ -85,8 +85,8 @@ void AmcastCore::process_ts(const TsEntry& e) {
 }
 
 void AmcastCore::maybe_finalize(Pending& p) {
-  if (p.final_ts || !p.msg || !p.local_ts) return;
-  if (p.ts.size() != p.msg->dests.size()) return;
+  if (p.final_ts || !p.stamp || !p.local_ts) return;
+  if (p.ts.size() != p.stamp->msg.dests.size()) return;
   std::uint64_t final = 0;
   for (const auto& [g, t] : p.ts) final = std::max(final, t);
   p.final_ts = final;
@@ -94,8 +94,8 @@ void AmcastCore::maybe_finalize(Pending& p) {
 }
 
 void AmcastCore::push_ts(MsgId mid, const Pending& p, bool pull_missing) {
-  if (halted_ || !cb_.is_leader() || !p.msg || !p.local_ts) return;
-  for (GroupId g : p.msg->dests) {
+  if (halted_ || !cb_.is_leader() || !p.stamp || !p.local_ts) return;
+  for (GroupId g : p.stamp->msg.dests) {
     if (g == self_group_) continue;
     consensus::LogEntry entry{derive_entry_id(mid, g, kTsSalt + self_group_.value),
                               net::make_msg<TsEntry>(mid, self_group_, *p.local_ts)};
@@ -103,10 +103,9 @@ void AmcastCore::push_ts(MsgId mid, const Pending& p, bool pull_missing) {
     if (pull_missing && !p.ts.contains(g)) {
       // The peer group may never have received the stamp at all (the
       // submitter's messages were lost). Re-disseminate the stamp — we hold
-      // the full message — and also ask for the timestamp in case the group
+      // its payload — and also ask for the timestamp in case the group
       // stamped it long ago and only the TsEntry got lost.
-      cb_.submit_remote(g, consensus::LogEntry{derive_entry_id(mid, g, kStampSalt),
-                                               net::make_msg<StampEntry>(*p.msg)});
+      cb_.submit_remote(g, consensus::LogEntry{derive_entry_id(mid, g, kStampSalt), p.stamp});
       cb_.query_ts(g, mid);
     }
   }
@@ -147,9 +146,9 @@ void AmcastCore::try_deliver() {
   for (;;) {
     // Find the stamped message with the smallest (bound, id); deliverable only
     // if its timestamp is final — anything else could still order before it.
-    const Pending* best = nullptr;
+    Pending* best = nullptr;
     MsgId best_id{};
-    for (const auto& [mid, p] : pending_) {
+    for (auto& [mid, p] : pending_) {
       if (!p.local_ts) continue;  // timestamp arrived before the stamp; not ours yet
       if (best == nullptr ||
           std::pair(p.bound(), mid.value) < std::pair(best->bound(), best_id.value)) {
@@ -159,13 +158,14 @@ void AmcastCore::try_deliver() {
     }
     if (best == nullptr || !best->final_ts) return;
 
-    AmcastMessage msg = *best->msg;
+    // Outlives the erase below; the delivery hook reads the message in place.
+    const std::shared_ptr<const StampEntry> stamp = std::move(best->stamp);
     const Time stamped_at = best->stamped_at;
     delivered_.insert(best_id);
-    if (!msg.single_group()) delivered_ts_.put(best_id, *best->local_ts);
+    if (!stamp->msg.single_group()) delivered_ts_.put(best_id, *best->local_ts);
     pending_.erase(best_id);
     ++delivered_count_;
-    cb_.deliver(msg, stamped_at);
+    cb_.deliver(stamp->msg, stamped_at);
   }
 }
 
@@ -313,10 +313,10 @@ MsgId GroupNode::next_msg_id() {
 
 MsgId GroupNode::amcast(std::vector<GroupId> dests, net::MessagePtr payload) {
   normalize_dests(dests);
-  AmcastMessage msg{next_msg_id(), pid(), dests, std::move(payload)};
-  const MsgId id = msg.id;
-  auto stamp = net::make_msg<StampEntry>(msg);
-  for (GroupId g : dests) {
+  const MsgId id = next_msg_id();
+  const auto stamp =
+      net::make_msg<StampEntry>(AmcastMessage{id, pid(), std::move(dests), std::move(payload)});
+  for (GroupId g : stamp->msg.dests) {
     submit_local_or_remote(g, consensus::LogEntry{derive_entry_id(id, g, kStampSalt), stamp});
   }
   return id;

@@ -100,7 +100,11 @@ class AmcastCore {
 
  private:
   struct Pending {
-    std::optional<AmcastMessage> msg;       // known once stamped here
+    /// The stamp entry this group sequenced (null until stamped here): an
+    /// aliasing pointer into the decided log entry's payload, so the message
+    /// is neither copied on stamping nor on delivery, and a stale stamp is
+    /// re-disseminated by re-submitting this very payload.
+    std::shared_ptr<const StampEntry> stamp;
     std::optional<std::uint64_t> local_ts;  // our group's timestamp
     std::map<GroupId, std::uint64_t> ts;    // per-group timestamps seen
     std::optional<std::uint64_t> final_ts;
@@ -109,7 +113,7 @@ class AmcastCore {
     std::uint64_t bound() const;
   };
 
-  void process_stamp(const StampEntry& e);
+  void process_stamp(const net::MessagePtr& payload, const StampEntry& e);
   void process_ts(const TsEntry& e);
   void maybe_finalize(Pending& p);
   void push_ts(MsgId mid, const Pending& p, bool pull_missing);

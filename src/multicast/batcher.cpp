@@ -35,12 +35,13 @@ void SubmitBatcher::set_metrics(stats::Metrics* metrics) {
   size_hist_ = &metrics->histogram("batch.size_entries");
 }
 
-void SubmitBatcher::amcast(const AmcastMessage& msg, FlushFn on_flush) {
+void SubmitBatcher::amcast(AmcastMessage msg, FlushFn on_flush) {
   DSSMR_ASSERT_MSG(network_ != nullptr, "init() not called");
   if (halted_) return;
-  auto stamp = net::make_msg<StampEntry>(msg);
-  for (GroupId g : msg.dests) {
-    pending_[g].push_back(consensus::LogEntry{derive_entry_id(msg.id, g, kStampSalt), stamp});
+  const auto stamp = net::make_msg<StampEntry>(std::move(msg));
+  for (GroupId g : stamp->msg.dests) {
+    pending_[g].push_back(
+        consensus::LogEntry{derive_entry_id(stamp->msg.id, g, kStampSalt), stamp});
   }
   if (on_flush) flush_cbs_.push_back(std::move(on_flush));
   ++queued_items_;

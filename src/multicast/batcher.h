@@ -63,7 +63,7 @@ class SubmitBatcher {
   /// Queues the StampEntries of one atomic multicast — one entry per
   /// destination group, derived once from the shared stamp payload.
   /// `on_flush` fires exactly once, when the batch leaves this process.
-  void amcast(const AmcastMessage& msg, FlushFn on_flush = nullptr);
+  void amcast(AmcastMessage msg, FlushFn on_flush = nullptr);
 
   /// Queues a single log entry for group `g` (timestamp pushes and stamp
   /// re-disseminations from the server tier).

@@ -23,13 +23,13 @@ MsgId ClientNode::fresh_id() {
 void ClientNode::amcast_with_id(MsgId id, std::vector<GroupId> dests, net::MessagePtr payload,
                                 SubmitBatcher::FlushFn on_flush) {
   normalize_dests(dests);
-  AmcastMessage msg{id, pid(), dests, std::move(payload)};
+  AmcastMessage msg{id, pid(), std::move(dests), std::move(payload)};
   if (batcher_ != nullptr) {
-    batcher_->amcast(msg, std::move(on_flush));
+    batcher_->amcast(std::move(msg), std::move(on_flush));
     return;
   }
-  auto stamp = net::make_msg<StampEntry>(std::move(msg));
-  for (GroupId g : dests) {
+  const auto stamp = net::make_msg<StampEntry>(std::move(msg));
+  for (GroupId g : stamp->msg.dests) {
     auto wrapped = net::make_msg<SubmitToLog>(
         g, consensus::LogEntry{derive_entry_id(id, g, 0x57a3), stamp});
     for (ProcessId p : directory_->members(g)) network_->send(pid(), p, wrapped);

@@ -35,9 +35,10 @@ using MessagePtr = std::shared_ptr<const Message>;
 /// Allocates the payload and its shared_ptr control block in one pooled
 /// block (common/pool.h): simulations create and retire millions of
 /// messages, and the pool's thread-local free lists recycle them without
-/// touching the general-purpose allocator.
+/// touching the general-purpose allocator. The typed pointer converts to
+/// MessagePtr; keeping it lets the sender read the payload it just built.
 template <class T, class... Args>
-MessagePtr make_msg(Args&&... args) {
+std::shared_ptr<const T> make_msg(Args&&... args) {
   return std::allocate_shared<T>(common::PoolAllocator<T>{}, std::forward<Args>(args)...);
 }
 

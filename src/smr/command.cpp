@@ -37,11 +37,17 @@ const char* to_string(ReplyCode c) {
 }
 
 std::vector<VarId> Command::vars() const {
-  std::vector<VarId> all = read_set;
-  all.insert(all.end(), write_set.begin(), write_set.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  std::vector<VarId> all;
+  all.reserve(read_set.size() + write_set.size());
+  vars_into(all);
   return all;
+}
+
+void Command::vars_into(std::vector<VarId>& out) const {
+  out.assign(read_set.begin(), read_set.end());
+  out.insert(out.end(), write_set.begin(), write_set.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 std::size_t Command::size_bytes() const {

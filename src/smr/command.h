@@ -68,12 +68,20 @@ struct Command {
   /// oracles after a successful execution.
   std::vector<std::pair<VarId, VarId>> hint_edges;
 
-  /// read_set ∪ write_set, deduplicated.
+  /// read_set ∪ write_set, deduplicated (sorted).
   std::vector<VarId> vars() const;
+  /// Same as vars(), written into `out` (cleared first), so a caller that
+  /// keeps the buffer reuses its capacity.
+  void vars_into(std::vector<VarId>& out) const;
 
   /// Approximate wire size (drives the bandwidth model).
   std::size_t size_bytes() const;
 };
+
+/// A command shared read-only by everything that handles it after issue: the
+/// client's attempts and consults, and every server execution closure. Often
+/// an aliasing pointer into the CommandMsg (or BulkMoveMsg) that carries it.
+using CommandPtr = std::shared_ptr<const Command>;
 
 /// Envelope for a command travelling through atomic multicast.
 struct CommandMsg final : net::Message {
@@ -169,12 +177,14 @@ struct MoveResultMsg final : net::Message {
 
 /// Client -> oracle: which partitions does `cmd` touch?
 struct ConsultMsg final : net::Message {
-  MsgId consult_id;  // distinct from cmd.id (one command may re-consult)
-  Command cmd;
-  ConsultMsg(MsgId id, Command c) : consult_id(id), cmd(std::move(c)) {}
+  MsgId consult_id;  // distinct from cmd->id (one command may re-consult)
+  /// The consulting client shares its outstanding command here (an aliasing
+  /// pointer into its CommandMsg) rather than copying it per consult.
+  CommandPtr cmd;
+  ConsultMsg(MsgId id, CommandPtr c) : consult_id(id), cmd(std::move(c)) {}
   const char* type_name() const override { return "oracle.consult"; }
-  std::size_t size_bytes() const override { return 16 + cmd.size_bytes(); }
-  std::uint64_t trace_id() const override { return cmd.trace_id; }
+  std::size_t size_bytes() const override { return 16 + cmd->size_bytes(); }
+  std::uint64_t trace_id() const override { return cmd->trace_id; }
 };
 
 /// The oracle's answer (the paper's "prophecy").

@@ -211,6 +211,55 @@ TEST(Pipeline, DepthZeroKeepsSingleFlushBehavior) {
   }
 }
 
+TEST(Pipeline, OneMemberGroupDecidesEachSubmissionOnce) {
+  // A one-member group decides inside propose(), so decide() re-enters
+  // flush_pending() and on_decide may submit again before the outer flush
+  // returns. Every entry must still be decided exactly once, in order.
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(depth);
+    consensus::PaxosConfig cfg;
+    cfg.pipeline_depth = depth;
+    cfg.max_batch = 2;
+    PipelineCluster c{cfg, /*n=*/1};
+    consensus::PaxosCore& leader = *c.nodes[0]->core;
+    ASSERT_TRUE(leader.is_leader());
+    auto& node = *c.nodes[0];
+    constexpr std::int64_t kDirect = 7;
+    constexpr std::int64_t kEchoOffset = 100;
+    node.on_entry = [&](const consensus::LogEntry& e) {
+      ASSERT_NE(e.payload, nullptr);
+      const std::int64_t v = net::msg_as<IntMsg>(e.payload).value;
+      // Each direct submission triggers one re-entrant submission from the decide path.
+      if (v < kEchoOffset) {
+        EXPECT_TRUE(leader.submit({MsgId{0x300 + static_cast<std::uint64_t>(v + kEchoOffset)},
+                                   net::make_msg<IntMsg>(v + kEchoOffset)}));
+      }
+    };
+    for (std::int64_t v = 0; v < kDirect; ++v) {
+      ASSERT_TRUE(leader.submit({MsgId{0x300 + static_cast<std::uint64_t>(v)},
+                                 net::make_msg<IntMsg>(v)}));
+    }
+    c.engine.run_for(msec(50));
+    EXPECT_EQ(leader.pending_entries(), 0u);
+    EXPECT_EQ(leader.inflight_proposals(), 0u);
+    std::vector<std::int64_t> seen;
+    for (const auto& e : node.decided) {
+      ASSERT_NE(e.payload, nullptr);
+      seen.push_back(net::msg_as<IntMsg>(e.payload).value);
+    }
+    std::vector<std::int64_t> direct;
+    std::vector<std::int64_t> echoed;
+    for (const std::int64_t v : seen) (v < kEchoOffset ? direct : echoed).push_back(v);
+    ASSERT_EQ(direct.size(), static_cast<std::size_t>(kDirect));
+    ASSERT_EQ(echoed.size(), static_cast<std::size_t>(kDirect));
+    for (std::int64_t v = 0; v < kDirect; ++v) {
+      EXPECT_EQ(direct[static_cast<std::size_t>(v)], v);
+      EXPECT_EQ(echoed[static_cast<std::size_t>(v)], v + kEchoOffset);
+    }
+    EXPECT_TRUE(std::is_sorted(node.decided_slots.begin(), node.decided_slots.end()));
+  }
+}
+
 // ---- whole-deployment guarantees with batching on ---------------------------
 
 harness::DeploymentConfig batched_config(std::size_t parts, std::size_t clients) {

@@ -22,7 +22,8 @@ class ProbingClient : public multicast::ClientNode {
 
   void consult(GroupId oracle, const smr::Command& cmd) {
     const MsgId id = fresh_id();
-    amcast_with_id(id, {oracle}, net::make_msg<smr::ConsultMsg>(id, cmd));
+    amcast_with_id(id, {oracle},
+                   net::make_msg<smr::ConsultMsg>(id, std::make_shared<const smr::Command>(cmd)));
   }
 
  protected:

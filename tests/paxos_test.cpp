@@ -182,6 +182,33 @@ TEST(Paxos, MakesProgressUnderMessageLoss) {
   EXPECT_GT(accepted, 0);
 }
 
+TEST(Paxos, SubmitDedupSetStaysBoundedOverALongLeadership) {
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  PaxosCore& leader = *c.nodes[0]->core;
+  ASSERT_TRUE(leader.is_leader());
+  constexpr std::size_t kWindow = PaxosCore::kSubmitDedupWindow;
+  constexpr int kEntries = static_cast<int>(kWindow + kWindow / 4);
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_NE(c.submit(i), MsgId{0});
+    if (i % 256 == 255) {
+      c.engine.run_for(msec(1));
+      ASSERT_LE(leader.submit_dedup_size(), kWindow);
+    }
+  }
+  c.engine.run_for(msec(50));
+  ASSERT_TRUE(leader.is_leader());  // one leadership throughout
+  EXPECT_EQ(leader.submit_dedup_size(), kWindow);
+  for (auto& n : c.nodes) EXPECT_EQ(n->decided.size(), static_cast<std::size_t>(kEntries));
+
+  // A retransmission inside the window still collapses onto the original.
+  const MsgId id = c.submit(kEntries);
+  c.engine.run_for(msec(5));
+  EXPECT_TRUE(leader.submit({id, net::make_msg<IntMsg>(kEntries)}));
+  c.engine.run_for(msec(50));
+  for (auto& n : c.nodes) EXPECT_EQ(n->decided.size(), static_cast<std::size_t>(kEntries + 1));
+}
+
 TEST(Paxos, FiveReplicaClusterDecides) {
   PaxosCluster c{5};
   c.engine.run_for(msec(50));

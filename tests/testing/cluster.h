@@ -1,6 +1,7 @@
 // Shared test fixtures: minimal nodes over the real engine/network stack.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@ class TestPaxosNode : public net::Actor {
       for (const auto& e : batch) {
         decided_slots.push_back(slot);
         decided.push_back(e);
+        if (on_entry) on_entry(e);
       }
     };
     core = std::make_unique<consensus::PaxosCore>(network.engine(), gid, std::move(members),
@@ -46,6 +48,8 @@ class TestPaxosNode : public net::Actor {
   }
 
   std::unique_ptr<consensus::PaxosCore> core;
+  /// Optional hook run inside on_decide for each decided entry.
+  std::function<void(const consensus::LogEntry&)> on_entry;
   std::vector<consensus::Slot> decided_slots;
   std::vector<consensus::LogEntry> decided;
   net::Network* network_ = nullptr;
