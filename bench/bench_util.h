@@ -2,12 +2,16 @@
 // the --json/--trace machine-readable outputs (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -19,196 +23,228 @@
 
 namespace dssmr::bench {
 
-/// Collects one stats::RunRecord per run and writes them on finish().
-///
-/// Flags (shared by every fig_* binary):
-///   --json [path]          write a run-record JSON file (default
-///                          BENCH_<exp>.json)
-///   --jobs N               run sweep points on N threads (default 1).
-///                          Results are byte-identical to --jobs 1: each
-///                          simulation is self-contained and output order is
-///                          submission order (see harness/sweep.h)
-///   --trace [path]         enable event tracing and dump JSON Lines
-///                          (default TRACE_<exp>.jsonl); benches forward
-///                          trace_wanted() into their run configs
-///   --trace-chrome [path]  enable span tracing and write a Chrome
-///                          trace_event file (default CHROME_<exp>.json) for
-///                          chrome://tracing / Perfetto; benches forward
-///                          spans_wanted() into their run configs
-///   --nemesis <plan>       run every point under a fault plan — a shipped
-///                          plan name or fault-plan DSL (see
-///                          fault/fault_plan.h); benches forward nemesis()
-///                          into their run configs
-///   --scale-plan <plan>    run every point under an elastic scale plan — a
-///                          shipped plan name or scale-plan DSL (see
-///                          fault/scale_plan.h, e.g. add-partition@2s);
-///                          benches forward scale_plan() into their run
-///                          configs. Composes with --nemesis
-///   --telemetry            enable flight-recorder telemetry (gauge samples,
-///                          windowed partition heat, latency windows, fault
-///                          marks); lands in the --json run record's
-///                          `telemetry` section, so pair it with --json
-///   --telemetry-interval N sampling cadence / bucket width in microseconds
-///                          (default 100000 = 100ms); implies --telemetry
-///   --batch-size N         batch N logical submissions per flush (default 0
-///                          = batching off, byte-identical to the unbatched
-///                          code); benches forward batch_size() into their
-///                          run configs
-///   --batch-delay-us N     max virtual-time batching wait in microseconds
-///                          (default 100)
-///   --pipeline-depth N     allow N in-flight Paxos proposals per leader
-///                          (default 0 = unbounded single-flush behavior)
-///   --prefetch-k N         prophecy prefetch: oracle replies carry up to N
-///                          co-accessed neighbour locations (default 0 = off,
-///                          byte-identical to the pre-locality code); benches
-///                          forward prefetch_k() into their run configs
-///   --cache-repair         piggyback ⟨var, partition, epoch⟩ repair entries
-///                          on replies; clients heal stale caches and
-///                          re-route retries without re-consulting
-///   --coalesce-moves N     merge concurrent moves with overlapping
-///                          destination sets into one bulk multicast, flushed
-///                          at N buffered moves (default 0 = off)
-///   --coalesce-delay-us N  max virtual-time wait before a coalesced flush
-///                          (default 200)
+/// Parsed value of every bench flag (see kFlags for what each one does).
+/// parse_flags sets the numeric defaults from kFlags.
+struct BenchOptions {
+  std::string json;
+  std::string trace;
+  std::string trace_chrome;
+  std::string nemesis;
+  std::string scale_plan;
+  bool telemetry = false;
+  bool cache_repair = false;
+  std::int64_t jobs = 0;
+  std::int64_t telemetry_interval = 0;
+  std::int64_t batch_size = 0;
+  std::int64_t batch_delay = 0;
+  std::int64_t pipeline_depth = 0;
+  std::int64_t prefetch_k = 0;
+};
+
+/// What a flag takes. The kind fixes the usage syntax, how the argument
+/// parses and the message a bad one prints.
+enum class FlagArg {
+  kNone,       // switch
+  kPath,       // optional output path; given bare, the default (<exp> = experiment)
+  kThreads,    // integer > 0
+  kCount,      // integer >= 0
+  kMicros,     // integer > 0, virtual-time microseconds
+  kFaultPlan,  // shipped plan name or fault-plan DSL (fault/fault_plan.h)
+  kScalePlan,  // shipped plan name or scale-plan DSL (fault/scale_plan.h)
+};
+
+/// Usage-text syntax of a flag's argument ("" for a switch).
+inline const char* flag_syntax(FlagArg arg) {
+  switch (arg) {
+    case FlagArg::kNone:
+      return "";
+    case FlagArg::kPath:
+      return "[path]";
+    case FlagArg::kThreads:
+      return "N";
+    case FlagArg::kCount:
+      return "<n>";
+    case FlagArg::kMicros:
+      return "<us>";
+    case FlagArg::kFaultPlan:
+    case FlagArg::kScalePlan:
+      return "<plan>";
+  }
+  return "";
+}
+
+/// What a malformed argument lacks: "<flag> needs <this>".
+inline const char* flag_needs(FlagArg arg) {
+  switch (arg) {
+    case FlagArg::kThreads:
+      return "a positive thread count";
+    case FlagArg::kCount:
+      return "a non-negative count";
+    case FlagArg::kMicros:
+      return "a positive microsecond count";
+    case FlagArg::kFaultPlan:
+      return "a plan name or fault-plan spec";
+    case FlagArg::kScalePlan:
+      return "a plan name or scale-plan spec";
+    case FlagArg::kNone:
+    case FlagArg::kPath:
+      break;
+  }
+  return "";
+}
+
+using BoolField = bool BenchOptions::*;
+using TextField = std::string BenchOptions::*;
+using NumberField = std::int64_t BenchOptions::*;
+
+/// One row of the flag table.
+struct Flag {
+  const char* name;
+  FlagArg arg;
+  /// Value when the flag is absent (numbers) or given without a path (paths).
+  const char* def;
+  const char* help;
+  std::variant<BoolField, TextField, NumberField> field;
+  /// Switch that a valid occurrence of this flag also turns on.
+  BoolField implies = nullptr;
+};
+
+/// The flags shared by every fig_* binary, in usage-text order.
+/// tools/check_docs.py reads the flag names from this table and requires
+/// each one in the README flag table.
+inline const Flag kFlags[] = {
+    {"--json", FlagArg::kPath, "BENCH_<exp>.json", "write a run-record JSON file",
+     &BenchOptions::json},
+    {"--jobs", FlagArg::kThreads, "1",
+     "run sweep points on N threads; output is byte-identical to --jobs 1", &BenchOptions::jobs},
+    {"--trace", FlagArg::kPath, "TRACE_<exp>.jsonl", "enable event tracing and dump JSON Lines",
+     &BenchOptions::trace},
+    {"--trace-chrome", FlagArg::kPath, "CHROME_<exp>.json",
+     "enable span tracing and write a Chrome trace_event file", &BenchOptions::trace_chrome},
+    {"--nemesis", FlagArg::kFaultPlan, "", "run every point under a fault plan",
+     &BenchOptions::nemesis},
+    {"--scale-plan", FlagArg::kScalePlan, "",
+     "run every point under an elastic scale plan, e.g. add-partition@2s",
+     &BenchOptions::scale_plan},
+    {"--telemetry", FlagArg::kNone, "",
+     "enable flight-recorder telemetry (the run record's telemetry section)",
+     &BenchOptions::telemetry},
+    {"--telemetry-interval", FlagArg::kMicros, "100000",
+     "telemetry sampling cadence and bucket width; implies --telemetry",
+     &BenchOptions::telemetry_interval, &BenchOptions::telemetry},
+    {"--batch-size", FlagArg::kCount, "0",
+     "batch N logical submissions per flush (0 = batching off)", &BenchOptions::batch_size},
+    {"--batch-delay-us", FlagArg::kMicros, "100", "max virtual-time batching wait",
+     &BenchOptions::batch_delay},
+    {"--pipeline-depth", FlagArg::kCount, "0",
+     "in-flight Paxos proposals per leader (0 = unbounded)", &BenchOptions::pipeline_depth},
+    {"--prefetch-k", FlagArg::kCount, "0",
+     "oracle replies carry up to N co-accessed neighbour locations (0 = off)",
+     &BenchOptions::prefetch_k},
+    {"--cache-repair", FlagArg::kNone, "",
+     "replies piggyback repair entries; retries re-route without re-consulting",
+     &BenchOptions::cache_repair},
+};
+
+/// Parses the bench flags in `argv` against kFlags. Returns false (after
+/// printing why on stderr) if any flag was unknown or malformed; a bad
+/// occurrence leaves its option at the default.
+inline bool parse_flags(int argc, char** argv, const std::string& experiment,
+                        BenchOptions& opts) {
+  for (const Flag& f : kFlags) {
+    if (auto* n = std::get_if<NumberField>(&f.field)) {
+      opts.*(*n) = std::atoll(f.def);
+    }
+  }
+  bool ok = true;
+  for (int i = 1; i < argc; ++i) {
+    const auto is = [&](const Flag& f) { return std::strcmp(argv[i], f.name) == 0; };
+    const Flag* f = std::find_if(std::begin(kFlags), std::end(kFlags), is);
+    if (f == std::end(kFlags)) {
+      std::string supported;
+      for (const Flag& g : kFlags) {
+        if (!supported.empty()) supported += ", ";
+        supported += g.name;
+        if (const char* syntax = flag_syntax(g.arg); *syntax != '\0') {
+          supported += ' ';
+          supported += syntax;
+        }
+      }
+      std::fprintf(stderr, "unknown flag %s (supported: %s)\n", argv[i], supported.c_str());
+      ok = false;
+      continue;
+    }
+    if (f->arg == FlagArg::kNone) {
+      opts.*std::get<BoolField>(f->field) = true;
+      continue;
+    }
+    // An argument is the next word unless it looks like a flag.
+    std::string v;
+    if (i + 1 < argc && argv[i + 1][0] != '-') v = argv[++i];
+    bool valid = true;
+    switch (f->arg) {
+      case FlagArg::kPath:
+        if (v.empty()) {
+          v = f->def;
+          v.replace(v.find("<exp>"), 5, experiment);
+        }
+        break;
+      case FlagArg::kThreads:
+      case FlagArg::kMicros:
+        valid = !v.empty() && std::atoll(v.c_str()) > 0;
+        break;
+      case FlagArg::kCount:
+        valid = !v.empty() && std::atoll(v.c_str()) >= 0;
+        break;
+      case FlagArg::kFaultPlan:
+      case FlagArg::kScalePlan:
+        valid = !v.empty();
+        if (!valid) break;
+        try {  // surface parse errors here, so the sweep stays fault- and scale-free
+          if (f->arg == FlagArg::kFaultPlan) {
+            fault::resolve_plan(v);
+          } else {
+            fault::resolve_scale_plan(v);
+          }
+        } catch (const std::invalid_argument& e) {
+          std::fprintf(stderr, "%s\n", e.what());
+          ok = false;
+          continue;
+        }
+        break;
+      case FlagArg::kNone:
+        break;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "%s needs %s\n", f->name, flag_needs(f->arg));
+      ok = false;
+      continue;
+    }
+    if (auto* n = std::get_if<NumberField>(&f->field)) {
+      opts.*(*n) = std::atoll(v.c_str());
+    } else {
+      opts.*std::get<TextField>(f->field) = v;
+    }
+    if (f->implies != nullptr) opts.*(f->implies) = true;
+  }
+  return ok;
+}
+
+/// Collects one stats::RunRecord per run and writes them on finish(). The
+/// options come from the shared bench flags (kFlags); a bad flag makes
+/// finish() return 2 after the sweep has run with that flag at its default.
 class RunRecordSink {
  public:
   RunRecordSink(int argc, char** argv, std::string experiment)
-      : experiment_(std::move(experiment)) {
-    for (int i = 1; i < argc; ++i) {
-      const auto next_or = [&](const std::string& fallback) {
-        if (i + 1 < argc && argv[i + 1][0] != '-') return std::string(argv[++i]);
-        return fallback;
-      };
-      if (std::strcmp(argv[i], "--json") == 0) {
-        json_path_ = next_or("BENCH_" + experiment_ + ".json");
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        const std::string v = next_or("");
-        jobs_ = static_cast<std::size_t>(v.empty() ? 0 : std::atoll(v.c_str()));
-        if (jobs_ == 0) {
-          std::fprintf(stderr, "--jobs needs a positive thread count\n");
-          bad_args_ = true;
-        }
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        trace_path_ = next_or("TRACE_" + experiment_ + ".jsonl");
-      } else if (std::strcmp(argv[i], "--trace-chrome") == 0) {
-        chrome_path_ = next_or("CHROME_" + experiment_ + ".json");
-      } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-        telemetry_ = true;
-      } else if (std::strcmp(argv[i], "--telemetry-interval") == 0) {
-        const std::string v = next_or("");
-        const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-        if (us <= 0) {
-          std::fprintf(stderr, "--telemetry-interval needs a positive microsecond count\n");
-          bad_args_ = true;
-        } else {
-          telemetry_ = true;
-          telemetry_interval_ = static_cast<Duration>(us);
-        }
-      } else if (std::strcmp(argv[i], "--batch-size") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--batch-size needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          batch_size_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--batch-delay-us") == 0) {
-        const std::string v = next_or("");
-        const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-        if (us <= 0) {
-          std::fprintf(stderr, "--batch-delay-us needs a positive microsecond count\n");
-          bad_args_ = true;
-        } else {
-          batch_delay_ = static_cast<Duration>(us);
-        }
-      } else if (std::strcmp(argv[i], "--pipeline-depth") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--pipeline-depth needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          pipeline_depth_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--prefetch-k") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--prefetch-k needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          prefetch_k_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--cache-repair") == 0) {
-        cache_repair_ = true;
-      } else if (std::strcmp(argv[i], "--coalesce-moves") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--coalesce-moves needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          coalesce_moves_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--coalesce-delay-us") == 0) {
-        const std::string v = next_or("");
-        const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-        if (us <= 0) {
-          std::fprintf(stderr, "--coalesce-delay-us needs a positive microsecond count\n");
-          bad_args_ = true;
-        } else {
-          coalesce_delay_ = static_cast<Duration>(us);
-        }
-      } else if (std::strcmp(argv[i], "--nemesis") == 0) {
-        nemesis_ = next_or("");
-        if (nemesis_.empty()) {
-          std::fprintf(stderr, "--nemesis needs a plan name or fault-plan spec\n");
-          bad_args_ = true;
-        } else {
-          try {
-            fault::resolve_plan(nemesis_);  // surface parse errors here...
-          } catch (const std::invalid_argument& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            nemesis_ = "";  // ...and keep the sweep fault-free so finish()
-            bad_args_ = true;  // can return 2 instead of crashing mid-run
-          }
-        }
-      } else if (std::strcmp(argv[i], "--scale-plan") == 0) {
-        scale_plan_ = next_or("");
-        if (scale_plan_.empty()) {
-          std::fprintf(stderr, "--scale-plan needs a plan name or scale-plan spec\n");
-          bad_args_ = true;
-        } else {
-          try {
-            fault::resolve_scale_plan(scale_plan_);  // surface parse errors here...
-          } catch (const std::invalid_argument& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            scale_plan_ = "";   // ...and keep the sweep scale-free so finish()
-            bad_args_ = true;   // can return 2 instead of crashing mid-run
-          }
-        }
-      } else {
-        std::fprintf(stderr,
-                     "unknown flag %s (supported: --json [path], --jobs N, "
-                     "--trace [path], --trace-chrome [path], --nemesis <plan>, "
-                     "--scale-plan <plan>, "
-                     "--telemetry, --telemetry-interval <us>, --batch-size <n>, "
-                     "--batch-delay-us <us>, --pipeline-depth <n>, "
-                     "--prefetch-k <n>, --cache-repair, --coalesce-moves <n>, "
-                     "--coalesce-delay-us <us>)\n",
-                     argv[i]);
-        bad_args_ = true;
-      }
-    }
-  }
+      : experiment_(std::move(experiment)),
+        bad_args_(!parse_flags(argc, argv, experiment_, opts_)) {}
 
-  bool json_enabled() const { return !json_path_.empty(); }
+  bool json_enabled() const { return !opts_.json.empty(); }
   /// Sweep-point thread count (--jobs, default 1 = serial).
-  std::size_t jobs() const { return jobs_; }
+  std::size_t jobs() const { return static_cast<std::size_t>(opts_.jobs); }
   /// Benches set ChirperRunConfig::trace (or DeploymentConfig::trace) to this.
-  bool trace_wanted() const { return !trace_path_.empty(); }
-  bool chrome_wanted() const { return !chrome_path_.empty(); }
+  bool trace_wanted() const { return !opts_.trace.empty(); }
+  bool chrome_wanted() const { return !opts_.trace_chrome.empty(); }
   /// Benches set ChirperRunConfig::spans (or DeploymentConfig::spans) to
   /// this. The Chrome export needs spans; the run record's `phases` section
   /// also appears whenever spans ran, so --trace-chrome enriches --json too.
@@ -219,37 +255,48 @@ class RunRecordSink {
   /// unaffected — only the exported span list is truncated.
   std::size_t spans_capacity() const { return 1u << 16; }
   /// Benches set ChirperRunConfig::nemesis to this (empty = no faults).
-  const std::string& nemesis() const { return nemesis_; }
+  const std::string& nemesis() const { return opts_.nemesis; }
   /// Benches set ChirperRunConfig::scale_plan to this (empty = no
   /// elasticity, byte-identical to the pre-elasticity output).
-  const std::string& scale_plan() const { return scale_plan_; }
+  const std::string& scale_plan() const { return opts_.scale_plan; }
   /// Benches set ChirperRunConfig::telemetry (or DeploymentConfig::telemetry)
   /// to this; the run record then carries a `telemetry` section.
-  bool telemetry_wanted() const { return telemetry_; }
-  Duration telemetry_interval() const { return telemetry_interval_; }
+  bool telemetry_wanted() const { return opts_.telemetry; }
+  Duration telemetry_interval() const { return opts_.telemetry_interval; }
   /// Benches forward these into ChirperRunConfig::{batch_size, batch_delay,
   /// pipeline_depth}; the defaults keep every bench byte-identical to the
   /// pre-batching output.
-  std::size_t batch_size() const { return batch_size_; }
-  Duration batch_delay() const { return batch_delay_; }
-  std::size_t pipeline_depth() const { return pipeline_depth_; }
-  /// Benches forward these into ChirperRunConfig::{prefetch_k, cache_repair,
-  /// coalesce_moves, coalesce_delay}; the defaults keep every bench
-  /// byte-identical to the pre-locality output.
-  std::size_t prefetch_k() const { return prefetch_k_; }
-  bool cache_repair() const { return cache_repair_; }
-  std::size_t coalesce_moves() const { return coalesce_moves_; }
-  Duration coalesce_delay() const { return coalesce_delay_; }
+  std::size_t batch_size() const { return static_cast<std::size_t>(opts_.batch_size); }
+  Duration batch_delay() const { return opts_.batch_delay; }
+  std::size_t pipeline_depth() const { return static_cast<std::size_t>(opts_.pipeline_depth); }
+  /// Benches forward these into ChirperRunConfig::{prefetch_k, cache_repair};
+  /// the defaults keep every bench byte-identical to the pre-locality output.
+  std::size_t prefetch_k() const { return static_cast<std::size_t>(opts_.prefetch_k); }
+  bool cache_repair() const { return opts_.cache_repair; }
+
+  /// Forwards every flag-driven knob into a chirper run config.
+  void apply(harness::ChirperRunConfig& cfg) const {
+    cfg.trace = trace_wanted();
+    cfg.spans = spans_wanted();
+    cfg.nemesis = nemesis();
+    cfg.scale_plan = scale_plan();
+    cfg.telemetry = telemetry_wanted();
+    cfg.telemetry_interval = telemetry_interval();
+    cfg.spans_capacity = spans_capacity();
+    cfg.batch_size = batch_size();
+    cfg.batch_delay = batch_delay();
+    cfg.pipeline_depth = pipeline_depth();
+    cfg.prefetch_k = prefetch_k();
+    cfg.cache_repair = cache_repair();
+  }
 
   /// Stamps the locality flags into a hand-built run record, matching the
   /// meta that make_run_record emits for chirper runs. No-op (and therefore
   /// byte-preserving) when the whole fast path is off.
   void add_locality_meta(stats::RunRecord& rec) const {
-    if (prefetch_k_ == 0 && !cache_repair_ && coalesce_moves_ == 0) return;
-    rec.add_meta("prefetch_k", std::to_string(prefetch_k_));
-    rec.add_meta("cache_repair", cache_repair_ ? "true" : "false");
-    rec.add_meta("coalesce_moves", std::to_string(coalesce_moves_));
-    rec.add_meta("coalesce_delay_us", std::to_string(coalesce_delay_));
+    if (opts_.prefetch_k == 0 && !opts_.cache_repair) return;
+    rec.add_meta("prefetch_k", std::to_string(opts_.prefetch_k));
+    rec.add_meta("cache_repair", opts_.cache_repair ? "true" : "false");
   }
 
   void add(stats::RunRecord record) { records_.push_back(std::move(record)); }
@@ -263,30 +310,30 @@ class RunRecordSink {
   /// Writes the requested outputs; returns the process exit code for main().
   int finish() {
     if (bad_args_) return 2;
-    if (!json_path_.empty()) {
-      std::ofstream os(json_path_);
+    if (!opts_.json.empty()) {
+      std::ofstream os(opts_.json);
       if (!os) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_path_.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", opts_.json.c_str());
         return 1;
       }
       stats::write_run_records(os, experiment_, records_);
-      std::printf("\nwrote %s (%zu runs)\n", json_path_.c_str(), records_.size());
+      std::printf("\nwrote %s (%zu runs)\n", opts_.json.c_str(), records_.size());
     }
-    if (!trace_path_.empty()) {
-      std::ofstream os(trace_path_);
+    if (!opts_.trace.empty()) {
+      std::ofstream os(opts_.trace);
       if (!os) {
-        std::fprintf(stderr, "cannot open %s for writing\n", trace_path_.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", opts_.trace.c_str());
         return 1;
       }
       for (const stats::RunRecord& rec : records_) {
         rec.metrics.trace().write_jsonl(os, rec.label);
       }
-      std::printf("wrote %s\n", trace_path_.c_str());
+      std::printf("wrote %s\n", opts_.trace.c_str());
     }
-    if (!chrome_path_.empty()) {
-      std::ofstream os(chrome_path_);
+    if (!opts_.trace_chrome.empty()) {
+      std::ofstream os(opts_.trace_chrome);
       if (!os) {
-        std::fprintf(stderr, "cannot open %s for writing\n", chrome_path_.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", opts_.trace_chrome.c_str());
         return 1;
       }
       stats::ChromeTraceExport chrome(os);
@@ -294,29 +341,15 @@ class RunRecordSink {
         chrome.add_run(rec.metrics.spans(), rec.label);
       }
       chrome.finish();
-      std::printf("wrote %s\n", chrome_path_.c_str());
+      std::printf("wrote %s\n", opts_.trace_chrome.c_str());
     }
     return 0;
   }
 
  private:
   std::string experiment_;
-  std::string json_path_;
-  std::string trace_path_;
-  std::string chrome_path_;
-  std::string nemesis_;
-  std::string scale_plan_;
-  bool telemetry_ = false;
-  Duration telemetry_interval_ = msec(100);
-  std::size_t batch_size_ = 0;
-  Duration batch_delay_ = usec(100);
-  std::size_t pipeline_depth_ = 0;
-  std::size_t prefetch_k_ = 0;
-  bool cache_repair_ = false;
-  std::size_t coalesce_moves_ = 0;
-  Duration coalesce_delay_ = usec(200);
-  std::size_t jobs_ = 1;
-  bool bad_args_ = false;
+  BenchOptions opts_;
+  bool bad_args_;
   std::vector<stats::RunRecord> records_;
 };
 

@@ -111,8 +111,6 @@ int main(int argc, char** argv) {
     dep.pipeline_depth = sink.pipeline_depth();
     dep.prefetch_k = sink.prefetch_k();
     dep.cache_repair = sink.cache_repair();
-    dep.coalesce_moves = sink.coalesce_moves();
-    dep.coalesce_delay = sink.coalesce_delay();
     dep.elastic = !sink.scale_plan().empty();
     dep.oracle.elastic = dep.elastic;
 

@@ -40,56 +40,17 @@ int main(int argc, char** argv) {
     cfg.client_cache = cache;
     cfg.warmup = sec(3);
     cfg.measure = sec(3);
-    cfg.trace = sink.trace_wanted();
-    cfg.spans = sink.spans_wanted();
-    cfg.nemesis = sink.nemesis();
-    cfg.scale_plan = sink.scale_plan();
-    cfg.telemetry = sink.telemetry_wanted();
-    cfg.telemetry_interval = sink.telemetry_interval();
-    cfg.spans_capacity = sink.spans_capacity();
-    cfg.batch_size = sink.batch_size();
-    cfg.batch_delay = sink.batch_delay();
-    cfg.pipeline_depth = sink.pipeline_depth();
-    cfg.prefetch_k = sink.prefetch_k();
-    cfg.cache_repair = sink.cache_repair();
-    cfg.coalesce_moves = sink.coalesce_moves();
-    cfg.coalesce_delay = sink.coalesce_delay();
+    sink.apply(cfg);
     points.push_back({cfg, cache ? "cache-on" : "cache-off"});
   }
   {
     auto cfg = base_config(4);
-    cfg.trace = sink.trace_wanted();
-    cfg.spans = sink.spans_wanted();
-    cfg.nemesis = sink.nemesis();
-    cfg.scale_plan = sink.scale_plan();
-    cfg.telemetry = sink.telemetry_wanted();
-    cfg.telemetry_interval = sink.telemetry_interval();
-    cfg.spans_capacity = sink.spans_capacity();
-    cfg.batch_size = sink.batch_size();
-    cfg.batch_delay = sink.batch_delay();
-    cfg.pipeline_depth = sink.pipeline_depth();
-    cfg.prefetch_k = sink.prefetch_k();
-    cfg.cache_repair = sink.cache_repair();
-    cfg.coalesce_moves = sink.coalesce_moves();
-    cfg.coalesce_delay = sink.coalesce_delay();
+    sink.apply(cfg);
     points.push_back({cfg, "busy-over-time"});
   }
   for (std::size_t parts : {2u, 4u, 8u}) {
     auto cfg = base_config(parts);
-    cfg.trace = sink.trace_wanted();
-    cfg.spans = sink.spans_wanted();
-    cfg.nemesis = sink.nemesis();
-    cfg.scale_plan = sink.scale_plan();
-    cfg.telemetry = sink.telemetry_wanted();
-    cfg.telemetry_interval = sink.telemetry_interval();
-    cfg.spans_capacity = sink.spans_capacity();
-    cfg.batch_size = sink.batch_size();
-    cfg.batch_delay = sink.batch_delay();
-    cfg.pipeline_depth = sink.pipeline_depth();
-    cfg.prefetch_k = sink.prefetch_k();
-    cfg.cache_repair = sink.cache_repair();
-    cfg.coalesce_moves = sink.coalesce_moves();
-    cfg.coalesce_delay = sink.coalesce_delay();
+    sink.apply(cfg);
     points.push_back({cfg, "parts-" + std::to_string(parts)});
   }
   const auto results = run_points(sink, points);

@@ -54,20 +54,7 @@ int main(int argc, char** argv) {
         cfg.warmup = sec(3);
         cfg.measure = sec(3);
         cfg.seed = 42;
-        cfg.trace = sink.trace_wanted();
-        cfg.spans = sink.spans_wanted();
-        cfg.nemesis = sink.nemesis();
-        cfg.scale_plan = sink.scale_plan();
-        cfg.telemetry = sink.telemetry_wanted();
-        cfg.telemetry_interval = sink.telemetry_interval();
-        cfg.spans_capacity = sink.spans_capacity();
-        cfg.batch_size = sink.batch_size();
-        cfg.batch_delay = sink.batch_delay();
-        cfg.pipeline_depth = sink.pipeline_depth();
-        cfg.prefetch_k = sink.prefetch_k();
-        cfg.cache_repair = sink.cache_repair();
-        cfg.coalesce_moves = sink.coalesce_moves();
-        cfg.coalesce_delay = sink.coalesce_delay();
+        sink.apply(cfg);
         points.push_back({cfg, std::string(c.label) + "/" + mix_name(mix) + "/p" +
                                    std::to_string(parts)});
       }

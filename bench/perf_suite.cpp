@@ -470,7 +470,7 @@ BenchResult bench_chirper_batched(bool smoke) {
 
 // Locality-on/off pair on the same config and seed: the off run is the
 // denominator, so the ratios directly state what the locality fast path
-// (prophecy prefetch + piggybacked cache repair + move coalescing) buys. The
+// (prophecy prefetch + piggybacked cache repair) buys. The
 // workload is a larger graph with a 20% edge cut so clients pay real cold
 // consults and cross-partition commands trigger moves, retries and cache
 // invalidations — the traffic prefetch and repair exist to absorb.
@@ -494,8 +494,6 @@ BenchResult bench_chirper_locality(bool smoke) {
 
   cfg.prefetch_k = 64;
   cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
-  cfg.coalesce_delay = usec(50);
   const harness::RunResult on = harness::run_chirper(cfg);
   const double on_wall = on.drive_wall_s;
 
@@ -524,8 +522,6 @@ BenchResult bench_chirper_locality(bool smoke) {
   r.extra.emplace_back("repairs", static_cast<double>(on.counter("locality.repairs")));
   r.extra.emplace_back("repair_reroutes",
                        static_cast<double>(on.counter("locality.repair_reroutes")));
-  r.extra.emplace_back("coalesced_moves",
-                       static_cast<double>(on.counter("locality.coalesced_moves")));
   return r;
 }
 

@@ -4,8 +4,7 @@
 // throughput/latency/protocol counters; every knob of the evaluation is a
 // flag. Useful for exploring configurations beyond the paper's grid.
 //
-//   ./build/examples/dssmr_sim --strategy=dssmr --partitions=4 --mix=post \
-//        --edge-cut=0.05 --users=2048 --measure-s=4 --seed=7
+//   ./build/examples/dssmr_sim --strategy=dssmr --partitions=4 --mix=post --edge-cut=0.05 --users=2048 --measure-s=4 --seed=7
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

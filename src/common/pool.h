@@ -10,9 +10,13 @@
 // thread-local (no locks on the hot path); chunks, once carved, are
 // process-lifetime — they are intentionally never returned to the OS, so a
 // block that migrates to another thread's free list can always be recycled
-// safely. Peak usage is bounded by the per-thread simulation peak.
+// safely. Peak usage is bounded by the per-thread simulation peak. Every
+// chunk stays reachable from one process-wide intrusive list (a link header
+// inside the chunk's own allocation), so a leak checker sees live memory
+// even after the thread that carved it has exited.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -72,6 +76,12 @@ class Pool {
     std::uint64_t chunk_bytes = 0;
   };
 
+  /// Prefix of every chunk allocation; keeps the blocks after it aligned.
+  struct alignas(std::max_align_t) ChunkLink {
+    ChunkLink* next;
+  };
+  static inline std::atomic<ChunkLink*> chunks_{nullptr};
+
   static std::size_t class_of(std::size_t bytes) { return (bytes - 1) / kGranularity; }
 
   static Lists& lists() {
@@ -82,9 +92,14 @@ class Pool {
   static void* carve(Lists& l, std::size_t cls) {
     const std::size_t block = (cls + 1) * kGranularity;
     if (l.cursor == nullptr || static_cast<std::size_t>(l.chunk_end - l.cursor) < block) {
-      // Chunks are deliberately leaked (see file comment): blocks may sit on
-      // another thread's free list after this thread exits.
-      l.cursor = static_cast<std::byte*>(::operator new(kChunkBytes));
+      // Chunks are never freed (see file comment): blocks may sit on another
+      // thread's free list after this thread exits. The link header shares
+      // the chunk's allocation: one allocation per chunk. Nothing walks the
+      // list; it only keeps every chunk reachable.
+      void* raw = ::operator new(sizeof(ChunkLink) + kChunkBytes);
+      auto* link = new (raw) ChunkLink{nullptr};
+      link->next = chunks_.exchange(link);
+      l.cursor = static_cast<std::byte*>(raw) + sizeof(ChunkLink);
       l.chunk_end = l.cursor + kChunkBytes;
       l.chunk_bytes += kChunkBytes;
     }

@@ -391,9 +391,6 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   move.write_set = cmd_vars_;
   move.move_sources = sources;
   move.move_dest = dest;
-  // Through the coalescer relay the multicast sender is the relay, not us —
-  // stamp the requester so partitions and the oracle answer this client.
-  if (cfg_.move_coalescer != kNoProcess) move.requester = pid();
 
   std::vector<GroupId> dests = sources;
   dests.push_back(dest);
@@ -403,19 +400,6 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   phase_ = Phase::kAwaitMove;
   move_start_ = network().engine().now();
   auto payload = net::make_msg<CommandMsg>(std::move(move));
-  if (cfg_.move_coalescer != kNoProcess) {
-    // Locality fast path: hand the move to the coalescer relay, which merges
-    // overlapping moves into one bulk multicast (one Skeen exchange). The
-    // destination partition still answers this client directly, and resends
-    // go through the relay again — partitions dedup by the stable move id.
-    network().send(pid(), cfg_.move_coalescer, payload);
-    resend_ = [this, payload] {
-      network().send(pid(), cfg_.move_coalescer, payload);
-      arm_timeout();
-    };
-    arm_timeout();
-    return;
-  }
   amcast_with_id(fresh_id(), dests, payload);
   resend_ = [this, dests, payload] {
     // Same logical move (same cmd id inside), fresh multicast id.

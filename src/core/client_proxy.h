@@ -73,9 +73,6 @@ struct ClientConfig {
   /// restarting at the oracle.
   bool prefetch = false;
   bool cache_repair = false;
-  /// When set, DS-SMR moves are routed through this move-coalescer relay
-  /// (see core/move_coalescer.h) instead of being multicast directly.
-  ProcessId move_coalescer = kNoProcess;
 };
 
 class ClientProxy : public multicast::ClientNode {

@@ -7,7 +7,6 @@
 
 namespace dssmr::core {
 
-using smr::BulkMoveMsg;
 using smr::Command;
 using smr::CommandMsg;
 using smr::CommandType;
@@ -59,8 +58,6 @@ void OracleNode::init_oracle(net::Network& network, const multicast::Directory& 
           // interning creates the counter, and off-mode run records must stay
           // byte-identical to the pre-locality output.
           config_.prefetch_k > 0 ? handle("locality.prefetch_sent") : &dummy_counter(),
-          config_.coalesce_moves > 0 ? handle("locality.coalesced_moves") : &dummy_counter(),
-          config_.coalesce_moves > 0 ? handle("locality.bulk_flushes") : &dummy_counter(),
           // Elastic counters follow the same rule: interned only when a scale
           // plan is armed, so non-elastic run records keep their exact bytes.
           config_.elastic ? handle("elastic.partitions_added") : &dummy_counter(),
@@ -116,12 +113,6 @@ void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
   }
   if (const auto* hint = net::msg_cast<HintMsg>(m.payload)) {
     handle_hint(*hint);
-    return;
-  }
-  if (const auto* bulk = net::msg_cast<BulkMoveMsg>(m.payload)) {
-    // Coalesced moves: apply each sub-move to the mapping independently (the
-    // stale-source guard in handle_move keeps unrelated sub-moves harmless).
-    for (const Command& mv : bulk->moves) handle_move(mv);
     return;
   }
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
@@ -208,11 +199,7 @@ void OracleNode::handle_consult(const multicast::AmcastMessage& m, const Consult
         move_dests.push_back(prophecy->dest);
         move_dests.push_back(group());
         const MsgId move_id = move.id;
-        if (config_.coalesce_moves > 0) {
-          buffer_move(std::move(move), std::move(move_dests));
-        } else {
-          amcast(std::move(move_dests), net::make_msg<CommandMsg>(std::move(move)));
-        }
+        amcast(std::move(move_dests), net::make_msg<CommandMsg>(std::move(move)));
         bump(ctr_.moves_issued);
         trace(stats::TraceEvent::kMoveIssued, move_id.value,
               static_cast<std::int64_t>(prophecy->dest.value));
@@ -505,63 +492,7 @@ void OracleNode::issue_rebalance_move(GroupId from, GroupId to, std::vector<VarI
   trace(stats::TraceEvent::kRebalanceMove, move.id.value,
         static_cast<std::int64_t>(to.value));
   if (moves_series_ != nullptr && is_leader()) moves_series_->add(engine().now());
-  std::vector<GroupId> dests{from, to, group()};
-  if (config_.coalesce_moves > 0) {
-    buffer_move(std::move(move), std::move(dests));
-  } else {
-    amcast(std::move(dests), net::make_msg<CommandMsg>(std::move(move)));
-  }
-}
-
-void OracleNode::buffer_move(Command move, std::vector<GroupId> dests) {
-  // Leader only: reached from the leader-gated move-issue branch. A buffered
-  // move lost to a leader change is recovered by the client's consult
-  // timeout (exactly like a move multicast lost to a crash).
-  pending_moves_.push_back({std::move(move), std::move(dests)});
-  if (pending_moves_.size() >= config_.coalesce_moves) {
-    flush_moves();
-    return;
-  }
-  if (!move_flush_armed_) {
-    move_flush_armed_ = true;
-    engine().schedule(config_.coalesce_delay, [this] {
-      move_flush_armed_ = false;
-      if (!halted() && is_leader()) flush_moves();
-    });
-  }
-}
-
-void OracleNode::flush_moves() {
-  if (pending_moves_.empty()) return;
-  std::vector<PendingMove> pending = std::move(pending_moves_);
-  pending_moves_.clear();
-  std::vector<std::vector<GroupId>> dest_sets;
-  dest_sets.reserve(pending.size());
-  for (const PendingMove& p : pending) dest_sets.push_back(p.dests);
-  const std::vector<std::size_t> cluster = multicast::cluster_by_dest_overlap(dest_sets);
-  const std::size_t clusters =
-      cluster.empty() ? 0 : 1 + *std::max_element(cluster.begin(), cluster.end());
-  for (std::size_t c = 0; c < clusters; ++c) {
-    std::vector<Command> moves;
-    std::vector<GroupId> union_dests;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (cluster[i] != c) continue;
-      moves.push_back(std::move(pending[i].move));
-      union_dests.insert(union_dests.end(), pending[i].dests.begin(), pending[i].dests.end());
-    }
-    multicast::normalize_dests(union_dests);
-    if (moves.size() == 1) {
-      // A lone move ships exactly like the uncoalesced path.
-      amcast(std::move(union_dests), net::make_msg<CommandMsg>(std::move(moves.front())));
-      continue;
-    }
-    ctr_.coalesced_moves->inc(moves.size());
-    ctr_.bulk_flushes->inc();
-    if (metrics_ != nullptr) {
-      metrics_->histogram("locality.bulk_entries").record(static_cast<std::int64_t>(moves.size()));
-    }
-    amcast(std::move(union_dests), net::make_msg<BulkMoveMsg>(std::move(moves)));
-  }
+  amcast({from, to, group()}, net::make_msg<CommandMsg>(std::move(move)));
 }
 
 void OracleNode::handle_hint(const HintMsg& hint) {

@@ -7,7 +7,6 @@
 
 namespace dssmr::core {
 
-using smr::BulkMoveMsg;
 using smr::Command;
 using smr::CommandMsg;
 using smr::CommandPtr;
@@ -143,27 +142,10 @@ std::vector<RepairEntry> PartitionServer::make_repair(const Command& cmd) const 
 }
 
 void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
-  if (const auto* bulk = net::msg_cast<BulkMoveMsg>(m.payload)) {
-    // Coalesced moves: the bulk message is addressed to the union of the
-    // sub-moves' destination sets, so a partition may receive sub-moves it
-    // plays no part in — skip those (running the source path for them would
-    // wrongly drop ownership of unrelated variables).
-    for (const Command& mv : bulk->moves) {
-      const bool involved =
-          mv.move_dest == group() ||
-          std::find(mv.move_sources.begin(), mv.move_sources.end(), group()) !=
-              mv.move_sources.end();
-      if (involved) deliver_command(m, CommandPtr(m.payload, &mv));
-    }
-    return;
-  }
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
   DSSMR_ASSERT_MSG(cm != nullptr, "partition received a non-command payload");
-  deliver_command(m, CommandPtr(m.payload, &cm->cmd));
-}
-
-void PartitionServer::deliver_command(const multicast::AmcastMessage& m,
-                                      const CommandPtr& cmd_ptr) {
+  // Execution closures hold this aliasing pointer instead of copying the command.
+  const CommandPtr cmd_ptr(m.payload, &cm->cmd);
   const Command& cmd = *cmd_ptr;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
 

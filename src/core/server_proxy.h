@@ -114,11 +114,6 @@ class PartitionServer : public multicast::GroupNode {
     smr::ReplyTiming timing;
   };
 
-  /// Shared prologue (reply-cache resend, inflight dedup, access watermark)
-  /// plus the per-type dispatch; called once per CommandMsg and once per
-  /// relevant sub-move of a BulkMoveMsg. `cmd` aliases the delivered payload:
-  /// execution closures hold it instead of copying the command.
-  void deliver_command(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
   void deliver_access_single(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
   void deliver_access_multi(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);
   void deliver_move(const multicast::AmcastMessage& m, const smr::CommandPtr& cmd);

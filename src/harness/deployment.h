@@ -14,7 +14,6 @@
 #include "common/types.h"
 #include "core/client_proxy.h"
 #include "core/mapping.h"
-#include "core/move_coalescer.h"
 #include "core/oracle.h"
 #include "core/server_proxy.h"
 #include "multicast/batcher.h"
@@ -65,13 +64,6 @@ struct DeploymentConfig {
   /// Replies piggyback ⟨var, partition, epoch⟩ repair entries; clients heal
   /// stale caches monotonically and re-route retries without re-consulting.
   bool cache_repair = false;
-  /// Coalesce concurrent moves with overlapping destination sets into one
-  /// bulk multicast: > 0 enables it (flush threshold) both at the oracle
-  /// (DynaStar's oracle-issued moves) and via a client-tier relay (DS-SMR's
-  /// client-issued moves).
-  std::size_t coalesce_moves = 0;
-  /// Max wait from the first buffered move to the coalesced flush.
-  Duration coalesce_delay = usec(200);
 
   Duration metrics_bucket = sec(1);
   std::uint64_t seed = 1;
@@ -176,8 +168,6 @@ class Deployment {
   /// Client-tier batch relays (empty when batching is off).
   std::size_t relay_count() const { return relays_.size(); }
   multicast::BatchRelay& relay(std::size_t i) { return *relays_[i]; }
-  /// Move-coalescer relay (nullptr unless coalescing is on under kDssmr).
-  core::MoveCoalescer* move_coalescer() { return coalescer_.get(); }
 
   core::StaticMap& static_map() { return *static_map_; }
 
@@ -221,9 +211,6 @@ class Deployment {
   /// One per rack when batching is on; registered after the oracles so that
   /// batching-off deployments keep the exact seed process-id layout.
   std::vector<std::unique_ptr<multicast::BatchRelay>> relays_;
-  /// Registered after the batch relays, before the clients, and only when
-  /// coalescing is on — same layout-preservation rule as relays_.
-  std::unique_ptr<core::MoveCoalescer> coalescer_;
   std::vector<std::unique_ptr<core::ClientProxy>> clients_;
 };
 

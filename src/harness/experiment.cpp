@@ -119,8 +119,6 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   dep.pipeline_depth = cfg.pipeline_depth;
   dep.prefetch_k = cfg.prefetch_k;
   dep.cache_repair = cfg.cache_repair;
-  dep.coalesce_moves = cfg.coalesce_moves;
-  dep.coalesce_delay = cfg.coalesce_delay;
   dep.client_cache = cfg.client_cache;
   dep.seed = cfg.seed;
   dep.trace = cfg.trace;
@@ -264,11 +262,9 @@ stats::RunRecord make_run_record(const ChirperRunConfig& cfg, const RunResult& r
     rec.add_meta("batch_delay_us", std::to_string(cfg.batch_delay));
     rec.add_meta("pipeline_depth", std::to_string(cfg.pipeline_depth));
   }
-  if (cfg.prefetch_k > 0 || cfg.cache_repair || cfg.coalesce_moves > 0) {
+  if (cfg.prefetch_k > 0 || cfg.cache_repair) {
     rec.add_meta("prefetch_k", std::to_string(cfg.prefetch_k));
     rec.add_meta("cache_repair", cfg.cache_repair ? "true" : "false");
-    rec.add_meta("coalesce_moves", std::to_string(cfg.coalesce_moves));
-    rec.add_meta("coalesce_delay_us", std::to_string(cfg.coalesce_delay));
   }
   rec.add_meta("telemetry", cfg.telemetry ? "on" : "off");
   if (cfg.telemetry) {

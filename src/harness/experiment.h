@@ -107,13 +107,11 @@ struct ChirperRunConfig {
   Duration batch_delay = usec(100);
   std::size_t pipeline_depth = 0;
 
-  /// Locality fast path (see DeploymentConfig): prophecy prefetch depth,
-  /// piggybacked cache repair, and move coalescing. All off by default —
-  /// defaults keep the run byte-identical to the pre-locality code.
+  /// Locality fast path (see DeploymentConfig): prophecy prefetch depth and
+  /// piggybacked cache repair. Both off by default — defaults keep the run
+  /// byte-identical to the pre-locality code.
   std::size_t prefetch_k = 0;
   bool cache_repair = false;
-  std::size_t coalesce_moves = 0;
-  Duration coalesce_delay = usec(200);
 
   /// Structured event trace (stats::Trace) for the run; the full trace is
   /// returned in RunResult::metrics and summarized in run records.

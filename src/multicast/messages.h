@@ -99,40 +99,6 @@ struct RmMsg final : net::Message {
   }
 };
 
-/// Clusters destination sets by transitive overlap: returns one cluster id
-/// per input set, with ids dense from 0 in first-appearance order. Two sets
-/// sharing any group land in the same cluster (union-find over at most a few
-/// dozen pending moves — the move coalescer merges every cluster into one
-/// bulk multicast over the union of its members' destinations).
-inline std::vector<std::size_t> cluster_by_dest_overlap(
-    const std::vector<std::vector<GroupId>>& dest_sets) {
-  std::vector<std::size_t> parent(dest_sets.size());
-  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  const auto find = [&](std::size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (std::size_t i = 0; i < dest_sets.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      const auto& a = dest_sets[i];
-      const auto& b = dest_sets[j];
-      const bool overlap = std::any_of(a.begin(), a.end(), [&](GroupId g) {
-        return std::find(b.begin(), b.end(), g) != b.end();
-      });
-      if (overlap) parent[find(i)] = find(j);
-    }
-  }
-  std::vector<std::size_t> cluster(dest_sets.size());
-  std::vector<std::size_t> dense(dest_sets.size(), SIZE_MAX);
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < dest_sets.size(); ++i) {
-    const std::size_t root = find(i);
-    if (dense[root] == SIZE_MAX) dense[root] = next++;
-    cluster[i] = dense[root];
-  }
-  return cluster;
-}
-
 /// Mixes a message id and a group into a deterministic log-entry id, so that
 /// retried submissions of the same logical entry deduplicate at the leader.
 inline MsgId derive_entry_id(MsgId base, GroupId g, std::uint64_t salt) {

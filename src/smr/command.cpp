@@ -57,12 +57,6 @@ std::size_t Command::size_bytes() const {
          move_sources.size() * 4 + move_epochs.size() * 8 + hint_edges.size() * 16;
 }
 
-std::size_t BulkMoveMsg::size_bytes() const {
-  std::size_t n = 16;
-  for (const Command& c : moves) n += c.size_bytes();
-  return n;
-}
-
 std::size_t VarShipMsg::size_bytes() const {
   std::size_t n = 32;
   for (const auto& [v, val] : vars) {

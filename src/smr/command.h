@@ -80,7 +80,7 @@ struct Command {
 
 /// A command shared read-only by everything that handles it after issue: the
 /// client's attempts and consults, and every server execution closure. Often
-/// an aliasing pointer into the CommandMsg (or BulkMoveMsg) that carries it.
+/// an aliasing pointer into the CommandMsg that carries it.
 using CommandPtr = std::shared_ptr<const Command>;
 
 /// Envelope for a command travelling through atomic multicast.
@@ -90,21 +90,6 @@ struct CommandMsg final : net::Message {
   const char* type_name() const override { return "smr.command"; }
   std::size_t size_bytes() const override { return cmd.size_bytes(); }
   std::uint64_t trace_id() const override { return cmd.trace_id; }
-};
-
-/// Several coalesced kMove commands shipped as one atomic multicast (the
-/// locality fast path's move coalescing): one Skeen exchange over the union
-/// of the sub-moves' destination sets instead of one per move. Receivers
-/// apply each sub-move independently and skip the ones they are not a source
-/// or destination of; replies still go per sub-move to each requester.
-struct BulkMoveMsg final : net::Message {
-  std::vector<Command> moves;
-  explicit BulkMoveMsg(std::vector<Command> m) : moves(std::move(m)) {}
-  const char* type_name() const override { return "smr.bulkmove"; }
-  std::size_t size_bytes() const override;
-  std::uint64_t trace_id() const override {
-    return moves.empty() ? 0 : moves.front().trace_id;
-  }
 };
 
 enum class ReplyCode : std::uint8_t {

@@ -258,10 +258,9 @@ void write_run_records(std::ostream& os, std::string_view experiment,
       w.end_object();
     }
     // v6: locality-fast-path summary, present only for runs that carried
-    // `locality.*` metrics (prefetch, cache repair or move coalescing was
-    // on). Counters are re-emitted with the prefix stripped, plus the
-    // bulk-move size histogram — one stable place for cache-effectiveness
-    // tooling, mirroring the `batching` section.
+    // `locality.*` metrics (prefetch or cache repair was on). Counters are
+    // re-emitted with the prefix stripped — one stable place for
+    // cache-effectiveness tooling, mirroring the `batching` section.
     bool any_locality = false;
     for (const auto& [name, c] : run.metrics.counters()) {
       if (name.starts_with("locality.")) {
@@ -274,11 +273,6 @@ void write_run_records(std::ostream& os, std::string_view experiment,
       w.begin_object();
       for (const auto& [name, c] : run.metrics.counters()) {
         if (name.starts_with("locality.")) w.field(name.substr(9), c.value());
-      }
-      if (const Histogram* h = run.metrics.find_histogram("locality.bulk_entries");
-          h != nullptr && h->count() > 0) {
-        w.key("bulk_entries");
-        write_histogram(w, *h);
       }
       w.end_object();
     }

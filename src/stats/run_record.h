@@ -14,9 +14,8 @@
 // totals and the flush-size histogram (present when a run carried `batch.*`
 // metrics — v5's addition, see multicast/batcher.h), a `locality` section
 // summarizing the locality fast path — prefetch installs/hits, cache
-// repairs, re-routes, coalesced moves and the bulk-move size histogram
-// (present when a run carried `locality.*` metrics — v6's addition, see
-// core/client_proxy.h and core/move_coalescer.h), an `elasticity` section
+// repairs and re-routes (present when a run carried `locality.*` metrics —
+// v6's addition, see core/client_proxy.h), an `elasticity` section
 // summarizing live repartitioning — partitions added/retired, rebalance move
 // and variable totals, and the rebalance chunk-size histogram (present when
 // a run carried `elastic.*` metrics, i.e. a ScalePlan was armed — v7's

@@ -239,7 +239,9 @@ TEST(FlatMap, MatchesUnorderedMapUnderChurn) {
         auto fit = flat.find(k);
         auto rit = ref.find(k);
         ASSERT_EQ(fit != flat.end(), rit != ref.end());
-        if (rit != ref.end()) EXPECT_EQ(fit->second, rit->second);
+        if (rit != ref.end()) {
+          EXPECT_EQ(fit->second, rit->second);
+        }
         break;
       }
     }

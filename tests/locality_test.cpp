@@ -1,6 +1,6 @@
-// Locality fast path: prophecy prefetch, piggybacked cache repair and move
-// coalescing — functional behavior (prefetch installs warm the cache, repair
-// entries re-route retries, coalesced moves still execute and reply), epoch
+// Locality fast path: prophecy prefetch and piggybacked cache repair —
+// functional behavior (prefetch installs warm the cache, repair entries
+// re-route retries, concurrent moves still execute and reply), epoch
 // monotonicity against forged/stale repairs, linearizability with the whole
 // fast path on (including under every shipped nemesis plan), and the
 // off-by-default purity the seed relies on: locality-off runs must produce
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/move_coalescer.h"
 #include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "harness/experiment.h"
@@ -34,8 +33,6 @@ harness::DeploymentConfig locality_config(std::size_t parts, std::size_t clients
   auto cfg = small_config(parts, Strategy::kDssmr, clients);
   cfg.prefetch_k = 8;
   cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
-  cfg.coalesce_delay = usec(200);
   return cfg;
 }
 
@@ -151,19 +148,19 @@ TEST(CacheRepair, MovedVarRepairReachesOtherClients) {
   EXPECT_GT(d.metrics().counter("locality.repairs"), 0u);
 }
 
-// ---- move coalescing ---------------------------------------------------------
+// ---- concurrent moves --------------------------------------------------------
 
-TEST(Coalescing, BufferedMovesFlushAndExecute) {
+TEST(LocalityMoves, ConcurrentCrossPartitionCommandsEachMoveOnce) {
   auto cfg = locality_config(2, 4);
   Deployment d{cfg, kv::kv_app_factory(),
                [] { return std::make_unique<core::DssmrPolicy>(); }};
   preload_kv(d, 8);
   d.start();
   d.settle();
-  ASSERT_NE(d.move_coalescer(), nullptr);
 
-  // Every client issues a cross-partition command at once: their moves land
-  // in the coalescer inside one delay window and flush together.
+  // Every client issues a cross-partition command at once: four moves, each
+  // its own multicast to {oracle, source, destination}, all in flight
+  // together with prefetch and repair on.
   std::vector<smr::ReplyCode> codes(4, smr::ReplyCode::kNok);
   std::size_t done = 0;
   for (std::size_t ci = 0; ci < 4; ++ci) {
@@ -181,15 +178,6 @@ TEST(Coalescing, BufferedMovesFlushAndExecute) {
   }
   EXPECT_EQ(d.metrics().counter("client.moves"), 4u);
   EXPECT_TRUE(d.audit_consistency().empty());
-}
-
-TEST(Coalescing, DisabledMeansNoCoalescerProcess) {
-  auto cfg = small_config(2, Strategy::kDssmr, 2);
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DssmrPolicy>(); }};
-  preload_kv(d, 4);
-  d.start();
-  EXPECT_EQ(d.move_coalescer(), nullptr);
 }
 
 // ---- linearizability with the full fast path on ------------------------------
@@ -213,10 +201,9 @@ TEST_P(LocalityLinearizability, ConcurrentHistoriesAreLinearizable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LocalityLinearizability, ::testing::Values(1, 2, 3, 4, 5));
 
-// Prefetch + repair + coalescing stay linearizable under every shipped fault
-// plan: stale prefetched locations, repairs racing crashes and coalesced
-// moves split by leader failover must all degrade to retries, never to a
-// consistency violation.
+// Prefetch + repair stay linearizable under every shipped fault plan: stale
+// prefetched locations and repairs racing crashes or leader failover must
+// all degrade to retries, never to a consistency violation.
 class LocalityUnderFaults : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LocalityUnderFaults, HistoriesUnderPlanAreLinearizable) {
@@ -266,8 +253,6 @@ harness::ChirperRunConfig chirper_locality(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.prefetch_k = 8;
   cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
-  cfg.coalesce_delay = usec(200);
   return cfg;
 }
 
@@ -287,14 +272,12 @@ TEST(LocalityDeterminism, SameSeedSameRunRecordBytes) {
   EXPECT_NE(first.find("\"locality\""), std::string::npos);
   EXPECT_NE(first.find("\"prefetch_k\": \"8\""), std::string::npos);
   EXPECT_NE(first.find("\"cache_repair\": \"true\""), std::string::npos);
-  EXPECT_NE(first.find("\"coalesce_moves\": \"4\""), std::string::npos);
 }
 
 TEST(LocalityDeterminism, OffRunsCarryNoLocalityArtifacts) {
   harness::ChirperRunConfig cfg = chirper_locality(78);
   cfg.prefetch_k = 0;
   cfg.cache_repair = false;
-  cfg.coalesce_moves = 0;
   const std::string json = record_json(cfg, harness::run_chirper(cfg));
   EXPECT_EQ(json.find("\"locality\""), std::string::npos);
   EXPECT_EQ(json.find("prefetch"), std::string::npos);
@@ -308,7 +291,6 @@ TEST(LocalityDeterminism, OffModeMatchesPreLocalityRecordBytes) {
   harness::ChirperRunConfig off = chirper_locality(79);
   off.prefetch_k = 0;
   off.cache_repair = false;
-  off.coalesce_moves = 0;
 
   harness::ChirperRunConfig legacy;
   legacy.partitions = off.partitions;

@@ -73,7 +73,7 @@ TEST(Amcast, UniformAgreementWithinGroups) {
       for (std::uint32_t g = 0; g < 3; ++g) {
         if (rng.chance(0.5)) dests.push_back(GroupId{g});
       }
-      if (dests.empty()) dests.push_back(GroupId{rng.next() % 3u});
+      if (dests.empty()) dests.push_back(GroupId{static_cast<std::uint32_t>(rng.next() % 3u)});
       cl.amcast(dests, net::make_msg<IntMsg>(i));
     });
   }

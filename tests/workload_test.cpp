@@ -185,7 +185,9 @@ TEST(ChirperWorkload, UnfollowShrinksGraph) {
   ChirperWorkload wl{g, cfg, 14};
   const std::size_t before = g.edge_count();
   auto cmd = wl.next();
-  if (cmd.op == chirper::kUnfollow) EXPECT_EQ(g.edge_count(), before - 1);
+  if (cmd.op == chirper::kUnfollow) {
+    EXPECT_EQ(g.edge_count(), before - 1);
+  }
 }
 
 TEST(ChirperWorkload, HintPostsAttachEdges) {

@@ -5,10 +5,11 @@ Two checks, both derived from the source of truth rather than a hand-kept
 list, so adding a flag or a run-record section without documenting it fails
 CI:
 
-  * Bench CLI flags — every `--flag` parsed by bench/bench_util.h (the
-    option sink shared by all fig_* binaries) must appear in a README.md
-    markdown-table row (a line starting with `|` containing the backticked
-    flag). The README's flag table is the canonical quick reference.
+  * Bench CLI flags — every `--flag` in the kFlags table of
+    bench/bench_util.h (the flag table that drives the parser shared by all
+    fig_* binaries) must appear in a README.md markdown-table row (a line
+    starting with `|` containing the backticked flag). The README's flag
+    table is the canonical quick reference.
   * Run-record schema keys — every JSON key emitted by
     src/stats/run_record.cpp (`w.key("...")` calls) plus the schema version
     token must be documented in docs/schema.md.
@@ -23,9 +24,9 @@ Exit codes:
        flags/keys (the lint could not actually lint)
 
 --self-test additionally verifies the negative path: the lint must flag an
-injected undocumented flag and an injected undocumented schema key. CI runs
-`check_docs.py --self-test` so a regression that makes the lint vacuously
-pass is itself a failure.
+undocumented flag injected into the flag table and an injected undocumented
+schema key. CI runs `check_docs.py --self-test` so a regression that makes
+the lint vacuously pass is itself a failure.
 """
 
 import argparse
@@ -39,7 +40,9 @@ KEY_SOURCE = "src/stats/run_record.cpp"
 SCHEMA_SOURCE = "src/stats/run_record.h"
 KEY_DOC = "docs/schema.md"
 
-FLAG_RE = re.compile(r'std::strcmp\(argv\[i\],\s*"(--[a-z][a-z-]*)"\)')
+# One kFlags entry: {"--name", FlagArg::kKind, ...}
+FLAG_RE = re.compile(r'\{\s*"(--[a-z][a-z-]*)",\s*FlagArg::k[A-Za-z]+\s*,')
+FLAG_TABLE_RE = re.compile(r'inline const Flag kFlags\[\] = \{')
 KEY_RE = re.compile(r'w\.key\("([A-Za-z_.]+)"\)')
 SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
 
@@ -59,6 +62,15 @@ def read(root, rel):
 
 def extract_flags(source_text):
     return sorted(set(FLAG_RE.findall(source_text)))
+
+
+def inject_flag(source_text, flag):
+    """The flag source with one more table entry, as a new flag would add."""
+    m = FLAG_TABLE_RE.search(source_text)
+    if not m:
+        die(f"{FLAG_SOURCE}: no kFlags table found")
+    row = f'\n    {{"{flag}", FlagArg::kNone, "", "injected", &BenchOptions::telemetry}},'
+    return source_text[:m.end()] + row + source_text[m.end():]
 
 
 def extract_keys(writer_text, header_text):
@@ -111,7 +123,11 @@ def self_test(root):
     readme = read(root, FLAG_DOC)
     schema_doc = read(root, KEY_DOC)
     failures = []
-    if not check_flags(["--intentionally-undocumented"], readme):
+    flag = "--intentionally-undocumented"
+    flags = extract_flags(inject_flag(read(root, FLAG_SOURCE), flag))
+    if flag not in flags:
+        failures.append("lint did not extract a flag added to the flag table")
+    if flag not in check_flags(flags, readme):
         failures.append("lint did not flag an undocumented CLI flag")
     if not check_keys(["intentionally_undocumented_key"], "dssmr.run_record.v7",
                       schema_doc):
