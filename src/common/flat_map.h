@@ -210,4 +210,19 @@ class FlatMap {
   std::size_t size_ = 0;
 };
 
+/// Set flavour of FlatMap: the same table with an empty value slot.
+template <class K, class Hash = std::hash<K>>
+class FlatSet {
+ public:
+  /// Returns true if newly inserted.
+  bool insert(const K& k) { return map_.emplace(k, {}).second; }
+  bool contains(const K& k) const { return map_.contains(k); }
+  bool erase(const K& k) { return map_.erase(k); }
+  std::size_t size() const { return map_.size(); }
+
+ private:
+  struct Unit {};
+  FlatMap<K, Unit, Hash> map_;
+};
+
 }  // namespace dssmr::common

@@ -95,11 +95,11 @@ void OracleNode::account(Duration service) {
   }
 }
 
-void OracleNode::queue_reply_task(Duration service, std::function<void()> run) {
+void OracleNode::queue_reply_task(Duration service, sim::Callback run) {
   account(service);
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = MsgId{0},
-      .on_head = nullptr,
+      .on_head = {},
       .ready = nullptr,
       .service = service,
       .run = std::move(run),
@@ -286,7 +286,7 @@ void OracleNode::handle_create(const multicast::AmcastMessage& m, const Command&
   account(config_.command_service);
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
-      .on_head = nullptr,
+      .on_head = {},
       // Reply only after the partition signalled that it applied the create.
       .ready = outcome == ReplyCode::kOk
                    ? std::function<bool()>([this, id = cmd.id, target] {
@@ -332,7 +332,7 @@ void OracleNode::handle_delete(const multicast::AmcastMessage& m, const Command&
   account(config_.command_service);
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
-      .on_head = nullptr,
+      .on_head = {},
       .ready = target != kNoGroup ? std::function<bool()>([this, id = cmd.id, target] {
                                       return signals_[id].contains(target);
                                     })

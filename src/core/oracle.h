@@ -114,7 +114,7 @@ class OracleNode : public multicast::GroupNode {
   /// One chunked rebalance move: sources = {from}, dest = to.
   void issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk);
 
-  void queue_reply_task(Duration service, std::function<void()> run);
+  void queue_reply_task(Duration service, sim::Callback run);
   void bump(stats::Counter* c);
   void trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg = 0);
   void account(Duration service);

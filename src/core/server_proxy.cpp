@@ -244,7 +244,7 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
   const Duration service = app_->service_time(cmd);
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
-      .on_head = nullptr,
+      .on_head = {},
       .ready = nullptr,
       .service = service,
       .run =
@@ -366,6 +366,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
     std::vector<VarId> mine;
     for (std::size_t i = 0; i < vars.size(); ++i) {
       const VarId v = vars[i];
+      claims_.erase(v);
       if (owned_.erase(v) == 0) continue;
       mine.push_back(v);
       if (config_.cache_repair) {
@@ -381,7 +382,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
         config_.move_service_per_var * static_cast<Duration>(mine.size() + 1);
     exec_->enqueue(smr::ExecutionEngine::Task{
         .id = cmd.id,
-        .on_head = nullptr,
+        .on_head = {},
         .ready = nullptr,
         .service = service,
         .run =
@@ -411,6 +412,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
   for (std::size_t i = 0; i < vars.size(); ++i) {
     const VarId v = vars[i];
     owned_.insert(v);
+    claims_[v] = cmd.id;
     if (config_.cache_repair) {
       // Epoch advances past both our local history and the mover's hint (the
       // oracle mapping's epoch), so repair entries never regress.
@@ -431,7 +433,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
       config_.move_service_per_var * static_cast<Duration>(vars.size() + 1);
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
-      .on_head = nullptr,
+      .on_head = {},
       .ready =
           [this, id = cmd.id, sources] {
             const Coord& c = coord(id);
@@ -455,6 +457,9 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
             std::vector<VarId> installed;
             std::size_t failed = 0;
             for (VarId v : vars) {
+              const auto claim = claims_.find(v);
+              const bool claimed = claim != claims_.end() && claim->second == id;
+              if (claimed) claims_.erase(v);
               if (store_.contains(v)) {  // we already held it
                 installed.push_back(v);
                 continue;
@@ -469,8 +474,9 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m,
                 store_.put(v, val->clone());
                 installed.push_back(v);
               } else {
-                // No source shipped it: the mapping was stale; give the claim up.
-                owned_.erase(v);
+                // No source shipped it: the mapping was stale; give the claim
+                // up, unless a later inbound move of v holds it by now.
+                if (claimed) owned_.erase(v);
                 ++failed;
               }
             }
@@ -513,7 +519,7 @@ void PartitionServer::deliver_create(const CommandPtr& cmd_ptr) {
   const Time delivered = engine().now();
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
-      .on_head = nullptr,
+      .on_head = {},
       .ready = nullptr,
       .service = config_.create_delete_service,
       .run =
@@ -544,7 +550,7 @@ void PartitionServer::deliver_delete(const CommandPtr& cmd_ptr) {
   const Time delivered = engine().now();
   exec_->enqueue(smr::ExecutionEngine::Task{
       .id = cmd.id,
-      .on_head = nullptr,
+      .on_head = {},
       .ready = nullptr,
       .service = config_.create_delete_service,
       .run =

@@ -155,7 +155,12 @@ class PartitionServer : public multicast::GroupNode {
   /// layer cannot dedup; without this set a duplicate delivery would enqueue
   /// a second task (double execution for accesses, and a task that waits
   /// forever for already-consumed shipments for moves).
-  std::unordered_set<MsgId> inflight_;
+  common::FlatSet<MsgId> inflight_;
+  /// Claim token per variable: the latest inbound move delivered for it (a
+  /// delivery as move source clears it). A failed install gives the claim up
+  /// only while the token is its own, so a later inbound move's claim holds
+  /// however far each replica's execution lags its deliveries.
+  common::FlatMap<VarId, MsgId> claims_;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
   /// Per-client at-most-once backstop for access commands. The reply cache is
   /// bounded, so under heavy load a slow (not lost) retransmission can arrive

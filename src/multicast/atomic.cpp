@@ -12,6 +12,13 @@ namespace {
 constexpr std::uint64_t kStampSalt = 0x57a3;
 constexpr std::uint64_t kTsSalt = 0x75e0;
 
+/// First entry of the id-sorted `pending` whose id is not below `mid`.
+template <class Vec>
+auto lower_bound_id(Vec& pending, MsgId mid) {
+  return std::lower_bound(pending.begin(), pending.end(), mid,
+                          [](const auto& p, MsgId id) { return p.id < id; });
+}
+
 }  // namespace
 
 // ---- AmcastCore ------------------------------------------------------------
@@ -39,11 +46,13 @@ void AmcastCore::restart() {
   arm_retry_timer();
 }
 
-std::uint64_t AmcastCore::Pending::bound() const {
-  if (final_ts) return *final_ts;
-  std::uint64_t b = local_ts.value_or(0);
-  for (const auto& [g, t] : ts) b = std::max(b, t);
-  return b;
+AmcastCore::Pending& AmcastCore::pending_entry(MsgId mid) {
+  auto it = lower_bound_id(pending_, mid);
+  if (it == pending_.end() || it->id != mid) {
+    it = pending_.insert(it, Pending{});
+    it->id = mid;
+  }
+  return *it;
 }
 
 bool AmcastCore::on_log_entry(const consensus::LogEntry& entry) {
@@ -61,24 +70,22 @@ bool AmcastCore::on_log_entry(const consensus::LogEntry& entry) {
 void AmcastCore::process_stamp(const net::MessagePtr& payload, const StampEntry& e) {
   const MsgId mid = e.msg.id;
   if (delivered_.contains(mid)) return;  // duplicate of an already-delivered message
-  Pending& p = pending_[mid];
+  Pending& p = pending_entry(mid);
   if (p.local_ts) return;  // duplicate stamp
   p.stamp = std::shared_ptr<const StampEntry>(payload, &e);
   p.local_ts = ++clock_;
-  p.ts[self_group_] = *p.local_ts;
+  p.ts.add(self_group_, *p.local_ts);
   p.stamped_at = engine_.now();
   maybe_finalize(p);
-  if (!p.final_ts) push_ts(mid, p, /*pull_missing=*/false);
+  if (!p.final_ts) push_ts(p, /*pull_missing=*/false);
   try_deliver();
 }
 
 void AmcastCore::process_ts(const TsEntry& e) {
   if (e.from == self_group_) return;  // should not happen; ignore defensively
   if (delivered_.contains(e.mid)) return;
-  Pending& p = pending_[e.mid];
-  auto [it, inserted] = p.ts.try_emplace(e.from, e.ts);
-  (void)it;
-  if (!inserted) return;  // duplicate timestamp
+  Pending& p = pending_entry(e.mid);
+  if (!p.ts.add(e.from, e.ts)) return;  // duplicate timestamp
   clock_ = std::max(clock_, e.ts);
   maybe_finalize(p);
   try_deliver();
@@ -87,13 +94,12 @@ void AmcastCore::process_ts(const TsEntry& e) {
 void AmcastCore::maybe_finalize(Pending& p) {
   if (p.final_ts || !p.stamp || !p.local_ts) return;
   if (p.ts.size() != p.stamp->msg.dests.size()) return;
-  std::uint64_t final = 0;
-  for (const auto& [g, t] : p.ts) final = std::max(final, t);
-  p.final_ts = final;
-  clock_ = std::max(clock_, final);
+  p.final_ts = p.ts.max();
+  clock_ = std::max(clock_, p.ts.max());
 }
 
-void AmcastCore::push_ts(MsgId mid, const Pending& p, bool pull_missing) {
+void AmcastCore::push_ts(const Pending& p, bool pull_missing) {
+  const MsgId mid = p.id;
   if (halted_ || !cb_.is_leader() || !p.stamp || !p.local_ts) return;
   for (GroupId g : p.stamp->msg.dests) {
     if (g == self_group_) continue;
@@ -112,16 +118,15 @@ void AmcastCore::push_ts(MsgId mid, const Pending& p, bool pull_missing) {
 }
 
 std::optional<std::uint64_t> AmcastCore::lookup_ts(MsgId mid) const {
-  if (auto it = pending_.find(mid); it != pending_.end() && it->second.local_ts) {
-    return it->second.local_ts;
-  }
+  const auto it = lower_bound_id(pending_, mid);
+  if (it != pending_.end() && it->id == mid && it->local_ts) return it->local_ts;
   if (const std::uint64_t* ts = delivered_ts_.find(mid); ts != nullptr) return *ts;
   return std::nullopt;
 }
 
 void AmcastCore::on_gained_leadership() {
-  for (const auto& [mid, p] : pending_) {
-    if (p.local_ts && !p.final_ts) push_ts(mid, p, /*pull_missing=*/false);
+  for (const Pending& p : pending_) {
+    if (p.local_ts && !p.final_ts) push_ts(p, /*pull_missing=*/false);
   }
 }
 
@@ -132,10 +137,10 @@ void AmcastCore::arm_retry_timer() {
     if (halted_) return;
     if (cb_.is_leader()) {
       const Time now = engine_.now();
-      for (const auto& [mid, p] : pending_) {
+      for (const Pending& p : pending_) {
         if (!p.local_ts || p.final_ts) continue;
         const bool stale = now - p.stamped_at > 2 * ts_retry_interval_;
-        push_ts(mid, p, /*pull_missing=*/stale);
+        push_ts(p, /*pull_missing=*/stale);
       }
     }
     arm_retry_timer();
@@ -146,24 +151,22 @@ void AmcastCore::try_deliver() {
   for (;;) {
     // Find the stamped message with the smallest (bound, id); deliverable only
     // if its timestamp is final — anything else could still order before it.
-    Pending* best = nullptr;
-    MsgId best_id{};
-    for (auto& [mid, p] : pending_) {
-      if (!p.local_ts) continue;  // timestamp arrived before the stamp; not ours yet
-      if (best == nullptr ||
-          std::pair(p.bound(), mid.value) < std::pair(best->bound(), best_id.value)) {
-        best = &p;
-        best_id = mid;
+    auto best = pending_.end();
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (!it->local_ts) continue;  // timestamp arrived before the stamp; not ours yet
+      if (best == pending_.end() ||
+          std::pair(it->bound(), it->id.value) < std::pair(best->bound(), best->id.value)) {
+        best = it;
       }
     }
-    if (best == nullptr || !best->final_ts) return;
+    if (best == pending_.end() || !best->final_ts) return;
 
     // Outlives the erase below; the delivery hook reads the message in place.
     const std::shared_ptr<const StampEntry> stamp = std::move(best->stamp);
     const Time stamped_at = best->stamped_at;
-    delivered_.insert(best_id);
-    if (!stamp->msg.single_group()) delivered_ts_.put(best_id, *best->local_ts);
-    pending_.erase(best_id);
+    delivered_.insert(best->id);
+    if (!stamp->msg.single_group()) delivered_ts_.put(best->id, *best->local_ts);
+    pending_.erase(best);
     ++delivered_count_;
     cb_.deliver(stamp->msg, stamped_at);
   }

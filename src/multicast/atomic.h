@@ -26,12 +26,12 @@
 // proxy and the oracle replica derive from it.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bounded.h"
@@ -99,24 +99,55 @@ class AmcastCore {
   std::uint64_t clock() const { return clock_; }
 
  private:
+  /// Groups whose timestamp for a message was seen (ours too, once stamped)
+  /// and the largest of them: all the protocol reads. Inline for up to eight
+  /// groups; only a wider message spills to the heap.
+  class GroupTimestamps {
+   public:
+    /// Returns false if `g`'s timestamp was already seen.
+    bool add(GroupId g, std::uint64_t ts) {
+      if (contains(g)) return false;
+      (n_ < inline_.size() ? inline_[n_] : spill_.emplace_back()) = g;
+      ++n_;
+      max_ = std::max(max_, ts);
+      return true;
+    }
+    bool contains(GroupId g) const {
+      const auto end = inline_.begin() + std::min<std::size_t>(n_, inline_.size());
+      return std::find(inline_.begin(), end, g) != end ||
+             std::find(spill_.begin(), spill_.end(), g) != spill_.end();
+    }
+    std::size_t size() const { return n_; }
+    std::uint64_t max() const { return max_; }
+
+   private:
+    std::array<GroupId, 8> inline_{};
+    std::vector<GroupId> spill_;
+    std::uint32_t n_ = 0;
+    std::uint64_t max_ = 0;
+  };
+
   struct Pending {
+    MsgId id;
     /// The stamp entry this group sequenced (null until stamped here): an
     /// aliasing pointer into the decided log entry's payload, so the message
     /// is neither copied on stamping nor on delivery, and a stale stamp is
     /// re-disseminated by re-submitting this very payload.
     std::shared_ptr<const StampEntry> stamp;
     std::optional<std::uint64_t> local_ts;  // our group's timestamp
-    std::map<GroupId, std::uint64_t> ts;    // per-group timestamps seen
+    GroupTimestamps ts;                     // per-group timestamps seen
     std::optional<std::uint64_t> final_ts;
     Time stamped_at = 0;
     /// Lower bound on the final timestamp given current knowledge.
-    std::uint64_t bound() const;
+    std::uint64_t bound() const { return final_ts.value_or(ts.max()); }
   };
 
+  /// The pending entry for `mid`, inserted in id order if absent.
+  Pending& pending_entry(MsgId mid);
   void process_stamp(const net::MessagePtr& payload, const StampEntry& e);
   void process_ts(const TsEntry& e);
   void maybe_finalize(Pending& p);
-  void push_ts(MsgId mid, const Pending& p, bool pull_missing);
+  void push_ts(const Pending& p, bool pull_missing);
   void try_deliver();
   void arm_retry_timer();
 
@@ -127,7 +158,9 @@ class AmcastCore {
   bool halted_ = false;
 
   std::uint64_t clock_ = 0;
-  std::map<MsgId, Pending> pending_;
+  /// Sorted by id, so timestamp pushes go out in id order; every operation
+  /// stays within the O(pending) scan try_deliver() already pays.
+  std::vector<Pending> pending_;
   BoundedSet<MsgId> delivered_;
   BoundedMap<MsgId, std::uint64_t> delivered_ts_;
   std::uint64_t delivered_count_ = 0;

@@ -52,7 +52,7 @@ bool RmcastEngine::handle(ProcessId self, const net::MessagePtr& m) {
 
 void RmcastEngine::deliver_if_new(ProcessId self, const RmMsg& m) {
   (void)self;
-  if (!seen_.insert(m.id).second) return;
+  if (!seen_.insert(m.id)) return;
   ++delivered_count_;
   deliver_(m.origin, m.payload);
 }

@@ -16,9 +16,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
+#include "common/bounded.h"
 #include "common/types.h"
 #include "multicast/directory.h"
 #include "multicast/messages.h"
@@ -32,6 +32,10 @@ class RmcastEngine {
   /// destination of, with the original sender and payload.
   using DeliverFn = std::function<void(ProcessId origin, const net::MessagePtr& payload)>;
 
+  /// Ids of the last kSeenWindow deliveries are remembered to absorb relayed
+  /// and duplicated copies, which arrive within a few network hops.
+  static constexpr std::size_t kSeenWindow = std::size_t{1} << 16;
+
   RmcastEngine(net::Network& network, const Directory& directory, bool relay,
                DeliverFn deliver);
 
@@ -43,6 +47,7 @@ class RmcastEngine {
   bool handle(ProcessId self, const net::MessagePtr& m);
 
   std::uint64_t delivered_count() const { return delivered_count_; }
+  std::size_t seen_size() const { return seen_.size(); }
 
  private:
   void deliver_if_new(ProcessId self, const RmMsg& m);
@@ -51,7 +56,7 @@ class RmcastEngine {
   const Directory& directory_;
   bool relay_;
   DeliverFn deliver_;
-  std::unordered_set<MsgId> seen_;
+  BoundedSet<MsgId> seen_{kSeenWindow};
   std::uint64_t delivered_count_ = 0;
   std::uint64_t next_local_ = 0;
 };

@@ -18,10 +18,12 @@
 #include <vector>
 
 #include "chirper/chirper.h"
+#include "common/bounded.h"
 #include "consensus/paxos.h"
 #include "harness/deployment.h"
 #include "net/network.h"
 #include "sim/engine.h"
+#include "smr/execution.h"
 #include "testing/cluster.h"
 #include "testing/counting_new.h"
 #include "testing/dssmr_fixture.h"
@@ -107,12 +109,14 @@ double allocs_per_command(std::size_t timeline_every) {
   return static_cast<double>(allocs) / static_cast<double>(done);
 }
 
-// Ceilings: the figure measured once the command path shared its immutable
-// objects, plus 10%. Before that (batches, commands, stamped messages and
-// post text deep-copied at each hand-off) the same scenarios measured 81.97
-// allocations per post-only command and 182.49 per timeline-heavy one.
-constexpr double kPostCeiling = 32.86 * 1.1;
-constexpr double kTimelineCeiling = 30.43 * 1.1;
+// Ceilings: the figure measured once per-replica bookkeeping stopped
+// allocating (flat dedup windows, a flat amcast pending set, inline execution
+// tasks), plus 10%. Before that the same scenarios measured 32.86 and 30.43
+// allocations per command; before the command path shared its immutable
+// objects (batches, commands, stamped messages and post text deep-copied at
+// each hand-off), 81.97 and 182.49.
+constexpr double kPostCeiling = 13.01 * 1.1;
+constexpr double kTimelineCeiling = 10.58 * 1.1;
 
 TEST(AllocBudget, PostOnlyDeployment) {
   const double per_cmd = allocs_per_command(/*timeline_every=*/0);
@@ -126,6 +130,50 @@ TEST(AllocBudget, TimelineHeavyDeployment) {
   std::printf("timeline-heavy: %.2f allocations per command (ceiling %.2f)\n", per_cmd,
               kTimelineCeiling);
   EXPECT_LE(per_cmd, kTimelineCeiling);
+}
+
+// ---- steady-state bookkeeping -------------------------------------------------
+
+TEST(AllocBudget, WarmBoundedContainersDoNotAllocate) {
+  constexpr std::size_t kWindow = 1024;
+  BoundedSet<MsgId> set{kWindow};
+  BoundedMap<MsgId, std::uint64_t> map{kWindow};
+  std::uint64_t next = 0;
+  const auto churn = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i, ++next) {
+      set.insert(MsgId{next});
+      map.put(MsgId{next}, next);
+      map.put(MsgId{next}, next + 1);  // overwrite
+    }
+  };
+  churn(4 * kWindow);  // warm: the rings are full and the indexes grown
+  const std::uint64_t allocs0 = testing::allocation_count();
+  churn(16 * kWindow);
+  EXPECT_EQ(testing::allocation_count() - allocs0, 0u);
+  EXPECT_EQ(set.size(), kWindow);
+  EXPECT_EQ(map.size(), kWindow);
+}
+
+TEST(AllocBudget, WarmExecutionEngineEnqueuesInlineClosures) {
+  sim::Engine engine;
+  smr::ExecutionEngine exec{engine};
+  std::uint64_t sum = 0;
+  const auto round = [&] {
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      // 48 bytes of captures: as large as sim::Callback stores inline.
+      const std::uint64_t a = i, b = i + 1, c = i + 2, d = i + 3, e = i + 4;
+      auto run = [&sum, a, b, c, d, e] { sum += a + b + c + d + e; };
+      static_assert(sizeof(run) == sim::Callback::kInlineSize);
+      exec.enqueue({.id = MsgId{i}, .on_head = {}, .ready = nullptr, .service = usec(1),
+                    .run = std::move(run)});
+    }
+    engine.run();
+  };
+  round();  // warm: the task ring and the event queue have grown
+  const std::uint64_t allocs0 = testing::allocation_count();
+  round();
+  EXPECT_EQ(testing::allocation_count() - allocs0, 0u);
+  EXPECT_EQ(exec.executed_count(), 128u);
 }
 
 // ---- sharing ------------------------------------------------------------------

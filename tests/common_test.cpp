@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -150,6 +153,103 @@ TEST(BoundedMap, OverwriteDoesNotGrow) {
   m.put(1, 20);
   EXPECT_EQ(m.size(), 1u);
   EXPECT_EQ(*m.find(1), 20);
+}
+
+TEST(BoundedMap, OverwritingALiveKeyKeepsItsPlace) {
+  BoundedMap<int, int> m{3};
+  m.put(1, 10);
+  m.put(2, 20);
+  m.put(3, 30);
+  EXPECT_FALSE(m.put(1, 11));  // overwrite: still the oldest entry
+  m.put(4, 40);                // so it is the one evicted
+  EXPECT_EQ(m.find(1), nullptr);
+  ASSERT_NE(m.find(2), nullptr);
+  EXPECT_EQ(*m.find(2), 20);
+}
+
+TEST(BoundedMap, KeyReinsertedAfterEvictionIsFresh) {
+  BoundedMap<int, int> m{2};
+  m.put(1, 10);
+  m.put(2, 20);
+  m.put(3, 30);               // evicts 1
+  EXPECT_TRUE(m.put(1, 11));  // new again, and now the newest
+  m.put(4, 40);               // evicts 2, then 3 is the oldest
+  EXPECT_EQ(m.find(2), nullptr);
+  EXPECT_EQ(m.find(3), nullptr);
+  ASSERT_NE(m.find(1), nullptr);
+  EXPECT_EQ(*m.find(1), 11);
+}
+
+TEST(BoundedMap, ValueSurvivesRingWrap) {
+  BoundedMap<int, std::string> m{4};
+  for (int k = 0; k < 6; ++k) m.put(k, "old");  // the ring has wrapped once
+  const std::string value(64, 'v');             // heap-allocated, so moves matter
+  m.put(6, value);
+  for (int k = 7; k < 10; ++k) m.put(k, "new");  // wraps past 6's slot's neighbours
+  ASSERT_NE(m.find(6), nullptr);
+  EXPECT_EQ(*m.find(6), value);
+  EXPECT_EQ(m.size(), 4u);
+  m.put(10, "new");  // 6 is the oldest now
+  EXPECT_EQ(m.find(6), nullptr);
+}
+
+/// The pre-ring implementation, kept as the reference: keys in insertion
+/// order in a deque, values in a node map.
+template <class V>
+struct BoundedModel {
+  std::size_t capacity;
+  std::deque<std::uint64_t> order;
+  std::map<std::uint64_t, V> map;
+
+  bool put(std::uint64_t k, V v) {
+    const bool inserted = map.insert_or_assign(k, std::move(v)).second;
+    if (inserted) order.push_back(k);
+    while (order.size() > capacity) {
+      map.erase(order.front());
+      order.pop_front();
+    }
+    return inserted;
+  }
+};
+
+TEST(Bounded, MatchesReferenceModelUnderChurn) {
+  for (const std::size_t capacity : {1, 2, 7, 4096}) {
+    SCOPED_TRACE(capacity);
+    Rng rng{capacity};
+    BoundedMap<std::uint64_t, std::uint64_t> m{capacity};
+    BoundedSet<std::uint64_t> s{capacity};
+    BoundedModel<std::uint64_t> map_model{capacity, {}, {}};
+    BoundedModel<bool> set_model{capacity, {}, {}};
+    // A key universe a few windows wide: keys recur both while live
+    // (overwrites, duplicate inserts) and after eviction (fresh re-inserts).
+    const std::uint64_t universe = 3 * capacity + 5;
+    for (std::uint64_t step = 0; step < 30000; ++step) {
+      const std::uint64_t k = rng.below(universe);
+      switch (rng.below(3)) {
+        case 0:
+          ASSERT_EQ(m.put(k, step), map_model.put(k, step)) << "step " << step;
+          break;
+        case 1:
+          ASSERT_EQ(s.insert(k), set_model.put(k, true)) << "step " << step;
+          break;
+        default: {
+          const auto it = map_model.map.find(k);
+          const std::uint64_t* got = m.find(k);
+          ASSERT_EQ(got != nullptr, it != map_model.map.end()) << "step " << step;
+          if (got != nullptr) {
+            ASSERT_EQ(*got, it->second) << "step " << step;
+          }
+          ASSERT_EQ(s.contains(k), set_model.map.contains(k)) << "step " << step;
+        }
+      }
+      ASSERT_EQ(m.size(), map_model.map.size());
+      ASSERT_EQ(s.size(), set_model.map.size());
+    }
+    for (std::uint64_t k = 0; k < universe; ++k) {
+      ASSERT_EQ(m.contains(k), map_model.map.contains(k));
+      ASSERT_EQ(s.contains(k), set_model.map.contains(k));
+    }
+  }
 }
 
 TEST(FlatMap, InsertFindErase) {

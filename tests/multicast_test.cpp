@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "multicast/atomic.h"
 #include "multicast/messages.h"
+#include "multicast/reliable.h"
 #include "testing/cluster.h"
 
 namespace dssmr::multicast {
@@ -244,6 +246,45 @@ TEST(Rmcast, DuplicateEnvelopeDeliversOnce) {
   });
   f.engine.run_for(msec(100));
   EXPECT_EQ(f.node(0, 1).rmdelivered.size(), 1u);
+}
+
+TEST(Rmcast, SeenWindowStaysBoundedAndAbsorbsRecentDuplicates) {
+  struct Sink : net::Actor {
+    void on_message(ProcessId, const net::MessagePtr&) override {}
+  };
+  sim::Engine engine;
+  net::Network network(engine, net::NetworkConfig{}, 1);
+  Sink self_actor, origin_actor;
+  const ProcessId self = network.add_process(self_actor);
+  const ProcessId origin = network.add_process(origin_actor);
+  Directory directory;
+  const GroupId g = directory.add_group({self, origin});
+  std::vector<std::int64_t> delivered;
+  constexpr std::size_t kWindow = RmcastEngine::kSeenWindow;
+  const auto deliver = [&](ProcessId, const net::MessagePtr& p) {
+    delivered.push_back(net::msg_as<IntMsg>(p).value);
+  };
+  RmcastEngine rm(network, directory, /*relay=*/true, deliver);
+  const auto envelope = [&](std::uint64_t id, bool relayed) {
+    return std::make_shared<const RmMsg>(MsgId{id}, origin, std::vector<GroupId>{g},
+                                         net::make_msg<IntMsg>(static_cast<std::int64_t>(id)),
+                                         relayed);
+  };
+
+  constexpr std::uint64_t kSent = kWindow + 4096;
+  for (std::uint64_t id = 1; id <= kSent; ++id) {
+    ASSERT_TRUE(rm.handle(self, envelope(id, /*relayed=*/false)));
+    ASSERT_EQ(rm.seen_size(), std::min<std::size_t>(id, kWindow));
+  }
+  ASSERT_EQ(delivered.size(), kSent);
+  // Relayed copies of the oldest remembered and the most recent deliveries are absorbed.
+  rm.handle(self, envelope(kSent - kWindow + 1, /*relayed=*/true));
+  for (std::uint64_t id = kSent - 63; id <= kSent; ++id) {
+    rm.handle(self, envelope(id, /*relayed=*/true));
+  }
+  EXPECT_EQ(delivered.size(), kSent);
+  EXPECT_EQ(rm.seen_size(), kWindow);
+  EXPECT_EQ(rm.delivered_count(), kSent);
 }
 
 TEST(Amcast, GroupLeaderCrashDoesNotLoseMessages) {

@@ -3,8 +3,11 @@
 // replies.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "harness/deployment.h"
 #include "smr/kv.h"
+#include "testing/cluster.h"
 #include "testing/dssmr_fixture.h"
 
 namespace dssmr::core {
@@ -134,6 +137,77 @@ TEST(ServerMove, MoveIsExactlyOnceUnderRetransmission) {
   d->engine().run_for(sec(1));
   const auto violations = d->audit_consistency();
   for (const auto& v : violations) ADD_FAILURE() << v;
+}
+
+// Regression (lost variable at high concurrency): an inbound move whose
+// source never held the variable fails at execution and gives up the
+// destination's claim on it. If a second inbound move of the same variable
+// was delivered in between, the claim is that move's: giving it up left the
+// destination holding the value without owning it, and the next outbound move
+// shipped nothing. Replicas reach the failed execution at different points of
+// the delivery sequence, so this used to depend on each replica's timing;
+// here the second move reaches every replica before the stale one executes.
+TEST(ServerMove, StaleInboundMoveLeavesLaterClaimStanding) {
+  auto d = kv_deployment(3, Strategy::kDssmr);  // VarId{0} lives on partition 0
+  testing::RecordingClient rc;
+  d->network().add_process(rc, 0);
+  rc.init_client_node(d->network(), d->server(0, 0).directory());
+  const std::size_t replicas = d->config().replicas_per_partition;
+
+  const auto move = [&](std::uint64_t seq, GroupId from, GroupId to) {
+    smr::Command cmd;
+    cmd.type = smr::CommandType::kMove;
+    cmd.requester = rc.pid();
+    cmd.id = MsgId{(static_cast<std::uint64_t>(rc.pid().value) << 32) | seq};
+    cmd.write_set = {VarId{0}};
+    cmd.move_sources = {from};
+    cmd.move_dest = to;
+    rc.amcast({from, to, d->oracle_gid()}, net::make_msg<smr::CommandMsg>(std::move(cmd)));
+  };
+  std::vector<std::uint64_t> delivered0;
+  std::vector<std::uint64_t> executed0;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    delivered0.push_back(d->server(1, r).amcast_delivered());
+    executed0.push_back(d->server(1, r).executed_count());
+  }
+  move(1, d->partition_gid(2), d->partition_gid(1));  // stale: partition 2 never held it
+  move(2, d->partition_gid(0), d->partition_gid(1));
+
+  // Per destination replica: moves executed when the second one was delivered.
+  std::vector<std::uint64_t> executed_at_second(replicas, 2);
+  const auto done = [&] {
+    for (std::size_t r = 0; r < replicas; ++r) {
+      if (d->server(1, r).executed_count() < executed0[r] + 2) return false;
+    }
+    return true;
+  };
+  const Time deadline = d->engine().now() + sec(5);
+  while (!done() && d->engine().now() < deadline && d->engine().step()) {
+    for (std::size_t r = 0; r < replicas; ++r) {
+      if (d->server(1, r).amcast_delivered() == delivered0[r] + 2 &&
+          executed_at_second[r] == 2) {
+        executed_at_second[r] = d->server(1, r).executed_count() - executed0[r];
+      }
+    }
+  }
+  ASSERT_TRUE(done());
+  for (std::size_t r = 0; r < replicas; ++r) {
+    ASSERT_EQ(executed_at_second[r], 0u) << "replica " << r;
+  }
+  d->engine().run_for(msec(100));
+
+  std::map<std::uint64_t, ReplyCode> codes;  // by sequence number
+  for (const net::MessagePtr& m : rc.replies) {
+    const auto& reply = net::msg_as<smr::ReplyMsg>(m);
+    codes[reply.cmd_id.value & 0xffffffffu] = reply.code;
+  }
+  EXPECT_EQ(codes, (std::map<std::uint64_t, ReplyCode>{{1, ReplyCode::kRetry},
+                                                       {2, ReplyCode::kOk}}));
+  for (std::size_t r = 0; r < replicas; ++r) {
+    EXPECT_TRUE(d->server(1, r).owns(VarId{0})) << "replica " << r;
+    EXPECT_TRUE(d->server(1, r).store().contains(VarId{0})) << "replica " << r;
+  }
+  for (const auto& v : d->audit_consistency()) ADD_FAILURE() << v;
 }
 
 TEST(ServerExec, ExecutedCountAndBusyTimeAdvance) {

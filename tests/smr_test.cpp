@@ -18,7 +18,7 @@ TEST(ExecutionEngine, RunsTasksInOrderWithServiceTime) {
   ExecutionEngine exec{engine};
   std::vector<std::pair<int, Time>> finished;
   for (int i = 0; i < 3; ++i) {
-    exec.enqueue({MsgId{static_cast<std::uint64_t>(i)}, nullptr, nullptr, usec(10),
+    exec.enqueue({MsgId{static_cast<std::uint64_t>(i)}, {}, nullptr, usec(10),
                   [&, i] { finished.emplace_back(i, engine.now()); }});
   }
   engine.run();
@@ -35,9 +35,9 @@ TEST(ExecutionEngine, HeadWaitsBlockEverythingBehind) {
   ExecutionEngine exec{engine};
   bool input_ready = false;
   std::vector<int> order;
-  exec.enqueue({MsgId{1}, nullptr, [&] { return input_ready; }, usec(5),
+  exec.enqueue({MsgId{1}, {}, [&] { return input_ready; }, usec(5),
                 [&] { order.push_back(1); }});
-  exec.enqueue({MsgId{2}, nullptr, nullptr, usec(5), [&] { order.push_back(2); }});
+  exec.enqueue({MsgId{2}, {}, nullptr, usec(5), [&] { order.push_back(2); }});
   engine.run_for(msec(1));
   EXPECT_TRUE(order.empty());  // both blocked behind the head
   input_ready = true;
@@ -67,7 +67,7 @@ TEST(ExecutionEngine, ZeroServiceTaskCompletes) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
   bool ran = false;
-  exec.enqueue({MsgId{1}, nullptr, nullptr, 0, [&] { ran = true; }});
+  exec.enqueue({MsgId{1}, {}, nullptr, 0, [&] { ran = true; }});
   engine.run_for(usec(1));
   EXPECT_TRUE(ran);
 }
@@ -76,9 +76,9 @@ TEST(ExecutionEngine, TaskEnqueuedFromRunCallback) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
   std::vector<int> order;
-  exec.enqueue({MsgId{1}, nullptr, nullptr, usec(1), [&] {
+  exec.enqueue({MsgId{1}, {}, nullptr, usec(1), [&] {
                   order.push_back(1);
-                  exec.enqueue({MsgId{2}, nullptr, nullptr, usec(1),
+                  exec.enqueue({MsgId{2}, {}, nullptr, usec(1),
                                 [&] { order.push_back(2); }});
                 }});
   engine.run_for(msec(1));
