@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "stats/metrics.h"
 
 namespace dssmr::consensus {
 namespace {
@@ -83,8 +84,7 @@ void PaxosCore::restart() {
   ballot_ = 0;
   p1b_granted_ = 0;
   p1b_accepted_.clear();
-  proposals_.clear();
-  inflight_ = 0;
+  clear_proposals();
   pending_.clear();
   submitted_ids_ = BoundedSet<std::uint64_t>(kSubmitDedupWindow);
   // The election timer doubles as the catch-up trigger: the current leader's
@@ -94,8 +94,35 @@ void PaxosCore::restart() {
 }
 
 BatchPtr PaxosCore::decided_batch(Slot slot) const {
-  const auto it = decided_.find(slot);
-  return it != decided_.end() ? it->second : nullptr;
+  return slot >= base_ && slot < top_ ? at(slot).decided : nullptr;
+}
+
+PaxosCore::SlotRecord& PaxosCore::touch(Slot slot) {
+  DSSMR_ASSERT(slot >= base_);
+  if (slot - base_ >= ring_.size()) {
+    const std::size_t capacity = std::max<std::size_t>(16, std::bit_ceil(slot - base_ + 1));
+    std::vector<SlotRecord> grown(capacity);
+    for (Slot s = base_; s < top_; ++s) grown[s & (capacity - 1)] = std::move(at(s));
+    ring_ = std::move(grown);
+  }
+  top_ = std::max(top_, slot + 1);
+  return at(slot);
+}
+
+void PaxosCore::retire_proposal(SlotRecord& r) {
+  if (r.proposal == nullptr || r.proposal_decided) return;
+  r.proposal_decided = true;
+  if (inflight_ > 0) --inflight_;
+}
+
+void PaxosCore::clear_proposals() {
+  for (Slot s = base_; s < top_; ++s) {
+    SlotRecord& r = at(s);
+    r.proposal = nullptr;
+    r.acks = 0;
+    r.proposal_decided = false;
+  }
+  inflight_ = 0;
 }
 
 ProcessId PaxosCore::leader_hint() const {
@@ -141,8 +168,12 @@ void PaxosCore::arm_resend_timer() {
   resend_timer_ = engine_.schedule(cfg_.resend_interval, [this] {
     resend_timer_ = 0;
     if (halted_ || role_ != Role::Leader) return;
-    for (const auto& [slot, prop] : proposals_) {
-      if (!prop.decided) broadcast(net::make_msg<P2a>(gid_, ballot_, slot, prop.batch));
+    // Undecided proposals all sit at or above the delivery point.
+    for (Slot s = next_deliver_; s < top_; ++s) {
+      const SlotRecord& r = at(s);
+      if (r.proposal != nullptr && !r.proposal_decided) {
+        broadcast(net::make_msg<P2a>(gid_, ballot_, s, r.proposal));
+      }
     }
     arm_resend_timer();
   });
@@ -168,12 +199,14 @@ void PaxosCore::start_election() {
   // Grant own promise.
   if (ballot_ > promised_) promised_ = ballot_;
   p1b_granted_ |= bit(self_index_);
-  for (const auto& [slot, acc] : accepted_) {
-    if (slot >= next_deliver_) p1b_accepted_[slot] = acc;
-  }
-  // Decided-but-not-everywhere slots are also "accepted" by us.
-  for (const auto& [slot, batch] : decided_) {
-    if (slot >= next_deliver_) p1b_accepted_[slot] = {promised_, batch};
+  for (Slot s = next_deliver_; s < top_; ++s) {
+    const SlotRecord& r = at(s);
+    // Decided-but-not-everywhere slots are also "accepted" by us.
+    if (r.decided != nullptr) {
+      p1b_accepted_[s] = {promised_, r.decided};
+    } else if (r.accepted != nullptr) {
+      p1b_accepted_[s] = {r.accepted_ballot, r.accepted};
+    }
   }
 
   broadcast(net::make_msg<P1a>(gid_, ballot_, next_deliver_ - 1));
@@ -183,8 +216,7 @@ void PaxosCore::start_election() {
 
 void PaxosCore::become_leader() {
   role_ = Role::Leader;
-  proposals_.clear();
-  inflight_ = 0;
+  clear_proposals();
   if (trace_ != nullptr) {
     trace_->record(stats::TraceEvent::kLeaderChange, engine_.now(), self_.value, gid_.value,
                    static_cast<std::int64_t>(ballot_));
@@ -260,19 +292,28 @@ void PaxosCore::flush_pending() {
 }
 
 void PaxosCore::propose(Slot slot, BatchPtr batch) {
-  auto [it, inserted] = proposals_.try_emplace(slot);
-  if (!inserted && it->second.decided) return;
-  if (inserted) ++inflight_;
-  it->second.batch = std::move(batch);
-  it->second.acks = bit(self_index_);
+  if (slot < next_deliver_) {
+    // Only a deposed leader that has not heard of its successor can get here:
+    // the successor's commits carried delivery past next_slot_. The slot is
+    // decided already, so nothing is recorded; the acceptors' refusal of the
+    // P2a makes this replica step down.
+    broadcast(net::make_msg<P2a>(gid_, ballot_, slot, std::move(batch)));
+    return;
+  }
+  SlotRecord& r = touch(slot);
+  if (r.proposal != nullptr && r.proposal_decided) return;
+  if (r.proposal == nullptr) ++inflight_;
+  r.proposal = std::move(batch);
+  r.acks = bit(self_index_);
 
   // Self-accept.
-  accepted_[slot] = {ballot_, it->second.batch};
+  r.accepted_ballot = ballot_;
+  r.accepted = r.proposal;
 
-  broadcast(net::make_msg<P2a>(gid_, ballot_, slot, it->second.batch));
-  if (count(it->second.acks) >= majority()) {
-    decide(slot, it->second.batch, /*broadcast_commit=*/true);
-  }
+  const BatchPtr proposed = r.proposal;  // decide() may grow the ring
+  const bool chosen = count(r.acks) >= majority();
+  broadcast(net::make_msg<P2a>(gid_, ballot_, slot, proposed));
+  if (chosen) decide(slot, proposed, /*broadcast_commit=*/true);
 }
 
 // ---- message handling ------------------------------------------------------
@@ -317,11 +358,13 @@ void PaxosCore::handle_p1a(ProcessId from, const P1a& m) {
     max_seen_ballot_ = std::max(max_seen_ballot_, m.ballot);
 
     AcceptedMap acc;
-    for (const auto& [slot, entry] : accepted_) {
-      if (slot > m.committed) acc[slot] = entry;
-    }
-    for (const auto& [slot, batch] : decided_) {
-      if (slot > m.committed) acc[slot] = {promised_, batch};
+    for (Slot s = std::max(base_, m.committed + 1); s < top_; ++s) {
+      const SlotRecord& r = at(s);
+      if (r.decided != nullptr) {
+        acc[s] = {promised_, r.decided};
+      } else if (r.accepted != nullptr) {
+        acc[s] = {r.accepted_ballot, r.accepted};
+      }
     }
     cb_.send(from, net::make_msg<P1b>(gid_, m.ballot, true, next_deliver_ - 1, std::move(acc)));
   } else {
@@ -352,7 +395,11 @@ void PaxosCore::handle_p2a(ProcessId from, const P2a& m) {
   if (m.ballot >= promised_) {
     promised_ = m.ballot;
     if (role_ != Role::Follower && ballot_ != m.ballot) step_down(m.ballot);
-    if (m.slot >= next_deliver_) accepted_[m.slot] = {m.ballot, m.batch};
+    if (m.slot >= next_deliver_) {
+      SlotRecord& r = touch(m.slot);
+      r.accepted_ballot = m.ballot;
+      r.accepted = m.batch;
+    }
     cb_.send(from, net::make_msg<P2b>(gid_, m.ballot, m.slot, true));
     arm_election_timer();
   } else {
@@ -366,11 +413,13 @@ void PaxosCore::handle_p2b(ProcessId from, const P2b& m) {
     step_down(std::max(max_seen_ballot_, m.ballot + 1));
     return;
   }
-  auto it = proposals_.find(m.slot);
-  if (it == proposals_.end() || it->second.decided) return;
-  it->second.acks |= bit(index_of(from));
-  if (count(it->second.acks) >= majority()) {
-    decide(m.slot, it->second.batch, /*broadcast_commit=*/true);
+  if (m.slot < base_ || m.slot >= top_) return;
+  SlotRecord& r = at(m.slot);
+  if (r.proposal == nullptr || r.proposal_decided) return;
+  r.acks |= bit(index_of(from));
+  if (count(r.acks) >= majority()) {
+    const BatchPtr chosen = r.proposal;  // decide() may grow the ring
+    decide(m.slot, chosen, /*broadcast_commit=*/true);
   }
 }
 
@@ -386,9 +435,15 @@ void PaxosCore::handle_heartbeat(ProcessId from, const HeartbeatMsg& m) {
 }
 
 void PaxosCore::handle_learnreq(ProcessId from, const LearnReq& m) {
-  for (Slot s = m.from; s < next_deliver_; ++s) {
-    auto it = decided_.find(s);
-    if (it != decided_.end()) cb_.send(from, net::make_msg<CommitMsg>(gid_, s, it->second));
+  if (m.from < base_) {
+    // Trimmed already: the requester can never learn these slots from us.
+    const Slot gap = base_ - m.from;
+    learn_gap_slots_ += gap;
+    if (metrics_ != nullptr) metrics_->inc("paxos.learn_gap_slots", gap);
+  }
+  // Every slot in [base_, next_deliver_) is decided.
+  for (Slot s = std::max(base_, m.from); s < next_deliver_; ++s) {
+    cb_.send(from, net::make_msg<CommitMsg>(gid_, s, at(s).decided));
   }
 }
 
@@ -402,11 +457,10 @@ void PaxosCore::maybe_request_catchup(Slot leader_committed, ProcessId from) {
 
 void PaxosCore::decide(Slot slot, const BatchPtr& batch, bool broadcast_commit) {
   if (slot < next_deliver_) return;  // already delivered
-  const bool fresh = decided_.try_emplace(slot, batch).second;
-  if (auto it = proposals_.find(slot); it != proposals_.end() && !it->second.decided) {
-    it->second.decided = true;
-    if (inflight_ > 0) --inflight_;
-  }
+  SlotRecord& r = touch(slot);
+  const bool fresh = r.decided == nullptr;
+  if (fresh) r.decided = batch;
+  retire_proposal(r);
   if (broadcast_commit && fresh) {
     broadcast(net::make_msg<CommitMsg>(gid_, slot, batch));
   }
@@ -419,12 +473,15 @@ void PaxosCore::decide(Slot slot, const BatchPtr& batch, bool broadcast_commit) 
 }
 
 void PaxosCore::advance_delivery() {
-  while (true) {
-    auto it = decided_.find(next_deliver_);
-    if (it == decided_.end()) break;
-    const Slot slot = next_deliver_;
-    ++next_deliver_;
-    cb_.on_decide(slot, *it->second);
+  while (next_deliver_ < top_ && at(next_deliver_).decided != nullptr) {
+    SlotRecord& r = at(next_deliver_);
+    // A new leader re-proposes slots it had already learned past a gap; when
+    // the gap fills, those are delivered before their own quorum answers.
+    // They are decided either way, so they leave the pipeline here.
+    retire_proposal(r);
+    const Slot slot = next_deliver_++;
+    const BatchPtr batch = r.decided;  // on_decide may grow the ring
+    cb_.on_decide(slot, *batch);
   }
   trim();
 }
@@ -432,11 +489,11 @@ void PaxosCore::advance_delivery() {
 void PaxosCore::trim() {
   if (next_deliver_ <= cfg_.retain_window) return;
   const Slot low = next_deliver_ - cfg_.retain_window;
-  decided_.erase(decided_.begin(), decided_.lower_bound(low));
-  accepted_.erase(accepted_.begin(), accepted_.lower_bound(low));
-  while (!proposals_.empty() && proposals_.begin()->first < low &&
-         proposals_.begin()->second.decided) {
-    proposals_.erase(proposals_.begin());
+  for (; base_ < low; ++base_) {
+    SlotRecord& r = at(base_);
+    DSSMR_ASSERT_MSG(r.proposal == nullptr || r.proposal_decided,
+                     "undecided proposal below the delivery point");
+    r = SlotRecord{};
   }
 }
 

@@ -15,8 +15,15 @@
 //    (Ring Paxos batches aggressively) and essential for simulation speed.
 //  * Uniform agreement: a value is committed only after a majority accepted
 //    it, so any later leader's phase 1 re-discovers it.
-//  * The decided log is trimmed behind the delivery point except for a
-//    retransmission window used to answer catch-up requests.
+//  * The log lives in one power-of-two ring of per-slot records (acceptor,
+//    learner and proposer state side by side), indexed by slot and covering
+//    [base_, top_): from the trim point up to the highest slot touched. The
+//    ring grows when a slot lands past its end and otherwise never
+//    allocates. Trimming keeps `retain_window` decided slots behind the
+//    delivery point to answer catch-up requests; it only advances base_ and
+//    resets the records it passes over. Every undecided proposal sits at or
+//    above the delivery point, so the resend timer scans only the in-flight
+//    slots [next_deliver_, top_).
 //
 // PaxosCore is deliberately not a net::Actor: the owning replica feeds it
 // messages and it emits messages through a callback, which keeps it unit
@@ -37,6 +44,10 @@
 #include "net/message.h"
 #include "sim/engine.h"
 #include "stats/trace.h"
+
+namespace dssmr::stats {
+class Metrics;
+}  // namespace dssmr::stats
 
 namespace dssmr::consensus {
 
@@ -65,7 +76,8 @@ using Batch = std::vector<LogEntry>;
 /// state on every replica and every P1b/P2a/CommitMsg carrying it share this
 /// one immutable object instead of holding copies.
 using BatchPtr = std::shared_ptr<const Batch>;
-/// Acceptor state: slot -> (ballot it was accepted in, batch).
+/// Accepted values carried by a P1b: slot -> (ballot it was accepted in,
+/// batch). Only elections build one.
 using AcceptedMap = std::map<Slot, std::pair<Ballot, BatchPtr>>;
 
 struct PaxosConfig {
@@ -217,6 +229,16 @@ class PaxosCore {
   /// Event trace for leader changes (owned by the deployment's Metrics; may
   /// stay null for standalone cores).
   void set_trace(stats::Trace* trace) { trace_ = trace; }
+  /// Counter sink for `paxos.learn_gap_slots` (may stay null). The counter
+  /// is created on the first gap, so runs without one record nothing.
+  void set_metrics(stats::Metrics* metrics) { metrics_ = metrics; }
+
+  /// Catch-up slots this replica was asked for but had already trimmed,
+  /// summed over LearnReqs. A requester that falls this far behind can never
+  /// deliver again: the log holds no snapshot to restart it from.
+  std::uint64_t learn_gap_slots() const { return learn_gap_slots_; }
+  /// Lowest slot still held in the log (the trim point).
+  Slot log_base() const { return base_; }
 
  private:
   enum class Role { Follower, Candidate, Leader };
@@ -226,10 +248,16 @@ class PaxosCore {
   static std::size_t count(MemberMask m) { return static_cast<std::size_t>(std::popcount(m)); }
   static MemberMask bit(std::uint32_t index) { return MemberMask{1} << index; }
 
-  struct Proposal {
-    BatchPtr batch;
+  /// Everything this replica knows about one slot. A null batch means
+  /// "none": nothing accepted, not decided, or not proposed by this
+  /// leadership. Records outside [base_, top_) are always empty.
+  struct SlotRecord {
+    Ballot accepted_ballot = 0;
+    BatchPtr accepted;  // acceptor
+    BatchPtr decided;   // learner
+    BatchPtr proposal;  // proposer
     MemberMask acks = 0;
-    bool decided = false;
+    bool proposal_decided = false;
   };
 
   std::size_t majority() const { return members_.size() / 2 + 1; }
@@ -247,6 +275,19 @@ class PaxosCore {
   void handle_commit(const CommitMsg& m);
   void handle_heartbeat(ProcessId from, const HeartbeatMsg& m);
   void handle_learnreq(ProcessId from, const LearnReq& m);
+
+  /// The record of a slot in [base_, top_).
+  SlotRecord& at(Slot slot) { return ring_[slot & (ring_.size() - 1)]; }
+  const SlotRecord& at(Slot slot) const { return ring_[slot & (ring_.size() - 1)]; }
+  /// The record of `slot` >= base_, widening [base_, top_) (and growing the
+  /// ring) to cover it. Growth moves every record: callers copy any BatchPtr
+  /// they still need out of the ring before a call that may touch a new slot
+  /// (propose, on_decide).
+  SlotRecord& touch(Slot slot);
+  /// Takes a proposal out of the pipeline once its slot is decided.
+  void retire_proposal(SlotRecord& r);
+  /// Drops every proposal of the previous leadership.
+  void clear_proposals();
 
   void propose(Slot slot, BatchPtr batch);
   void flush_pending();
@@ -269,13 +310,18 @@ class PaxosCore {
   Rng rng_;
   bool halted_ = false;
   stats::Trace* trace_ = nullptr;
+  stats::Metrics* metrics_ = nullptr;
+  std::uint64_t learn_gap_slots_ = 0;
 
-  // Acceptor state.
+  // The slot log: a power-of-two ring holding the records of [base_, top_).
+  std::vector<SlotRecord> ring_;
+  Slot base_ = 1;  // trim point: lowest retained slot
+  Slot top_ = 1;   // one past the highest slot touched
+
+  // Acceptor state (accepted values live in the ring).
   Ballot promised_ = 0;
-  AcceptedMap accepted_;
 
-  // Learner state.
-  std::map<Slot, BatchPtr> decided_;
+  // Learner state (decided values live in the ring).
   Slot next_deliver_ = 1;
 
   // Proposer state.
@@ -285,8 +331,7 @@ class PaxosCore {
   MemberMask p1b_granted_ = 0;
   AcceptedMap p1b_accepted_;
   Slot next_slot_ = 1;
-  std::map<Slot, Proposal> proposals_;
-  /// Count of undecided entries in proposals_ (the pipeline occupancy).
+  /// Count of undecided proposals in the ring (the pipeline occupancy).
   std::size_t inflight_ = 0;
   /// Submitted entries not yet proposed. Keeps its capacity across flushes:
   /// each flush copies the entries into a right-sized shared batch.

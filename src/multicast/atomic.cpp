@@ -264,6 +264,7 @@ void GroupNode::set_trace(stats::Trace* trace) {
 void GroupNode::set_metrics(stats::Metrics* metrics) {
   DSSMR_ASSERT_MSG(paxos_ != nullptr, "init_group_node() not called");
   delivered_ctr_ = metrics != nullptr ? &metrics->counter_handle("amcast.delivered") : nullptr;
+  paxos_->set_metrics(metrics);
   if (batcher_ != nullptr) batcher_->set_metrics(metrics);
 }
 

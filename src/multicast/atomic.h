@@ -248,7 +248,8 @@ class GroupNode : public net::Actor {
 
   /// Wires the deployment-wide metrics registry: interns a leader-gated
   /// `amcast.delivered` counter bumped once per group delivery (the interned
-  /// handle keeps the per-delivery hot path free of by-name map lookups).
+  /// handle keeps the per-delivery hot path free of by-name map lookups),
+  /// and hands the registry to the Paxos core for `paxos.learn_gap_slots`.
   /// Call after init_group_node().
   void set_metrics(stats::Metrics* metrics);
 

@@ -109,14 +109,18 @@ double allocs_per_command(std::size_t timeline_every) {
   return static_cast<double>(allocs) / static_cast<double>(done);
 }
 
-// Ceilings: the figure measured once per-replica bookkeeping stopped
-// allocating (flat dedup windows, a flat amcast pending set, inline execution
-// tasks), plus 10%. Before that the same scenarios measured 32.86 and 30.43
-// allocations per command; before the command path shared its immutable
-// objects (batches, commands, stamped messages and post text deep-copied at
-// each hand-off), 81.97 and 182.49.
-constexpr double kPostCeiling = 13.01 * 1.1;
-constexpr double kTimelineCeiling = 10.58 * 1.1;
+// Ceilings: the figure measured once the Paxos log became one slot ring
+// (no per-slot tree nodes for accepted, decided and proposed values), plus
+// 10%. History of the same two scenarios, in allocations per command:
+//   * 13.01 and 10.58 with std::map slot tables, after per-replica
+//     bookkeeping stopped allocating (flat dedup windows, a flat amcast
+//     pending set, inline execution tasks);
+//   * 32.86 and 30.43 before that;
+//   * 81.97 and 182.49 before the command path shared its immutable objects
+//     (batches, commands, stamped messages and post text deep-copied at each
+//     hand-off).
+constexpr double kPostCeiling = 9.90 * 1.1;
+constexpr double kTimelineCeiling = 7.50 * 1.1;
 
 TEST(AllocBudget, PostOnlyDeployment) {
   const double per_cmd = allocs_per_command(/*timeline_every=*/0);
@@ -174,6 +178,75 @@ TEST(AllocBudget, WarmExecutionEngineEnqueuesInlineClosures) {
   round();
   EXPECT_EQ(testing::allocation_count() - allocs0, 0u);
   EXPECT_EQ(exec.executed_count(), 128u);
+}
+
+/// Paxos replica that only counts the entries it delivers.
+class CountingPaxosNode : public net::Actor {
+ public:
+  void init(net::Network& network, std::vector<ProcessId> members, std::uint64_t seed) {
+    consensus::PaxosCore::Callbacks cb;
+    cb.send = [this, &network](ProcessId to, net::MessagePtr m) {
+      network.send(pid(), to, std::move(m));
+    };
+    cb.on_decide = [this](consensus::Slot, const consensus::Batch& b) { delivered += b.size(); };
+    core = std::make_unique<consensus::PaxosCore>(network.engine(), GroupId{0},
+                                                  std::move(members), pid(),
+                                                  consensus::PaxosConfig{}, std::move(cb), seed);
+  }
+  void on_message(ProcessId from, const net::MessagePtr& m) override { core->handle(from, m); }
+
+  std::unique_ptr<consensus::PaxosCore> core;
+  std::uint64_t delivered = 0;
+};
+
+TEST(AllocBudget, WarmPaxosLogDoesNotAllocate) {
+  sim::Engine engine;
+  net::Network network(engine, net::NetworkConfig{}, 3);
+  std::vector<std::unique_ptr<CountingPaxosNode>> nodes;
+  std::vector<ProcessId> members;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_unique<CountingPaxosNode>());
+    members.push_back(network.add_process(*nodes.back(), i % 2));
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i]->init(network, members, 21 + i);
+    nodes[i]->core->start();
+  }
+  engine.run_for(msec(50));
+  consensus::PaxosCore& leader = *nodes[0]->core;
+  ASSERT_TRUE(leader.is_leader());
+
+  // Each round submits a few entries that the batch timer flushes as one
+  // slot; the payload is shared, so only the slot's batch is new.
+  constexpr std::size_t kEntriesPerSlot = 16;
+  const net::MessagePtr payload = net::make_msg<testing::IntMsg>(1);
+  std::uint64_t next_id = 0;
+  const auto decide_slots = [&](std::size_t slots) {
+    for (std::size_t i = 0; i < slots; ++i) {
+      for (std::size_t e = 0; e < kEntriesPerSlot; ++e) {
+        ASSERT_TRUE(leader.submit({MsgId{++next_id}, payload}));
+      }
+      engine.run_for(msec(1));
+    }
+  };
+  // Warm: the log trims behind delivery (more slots than the retained
+  // window), and the submission dedup window is full.
+  const consensus::PaxosConfig cfg;
+  decide_slots(cfg.retain_window + cfg.retain_window / 2);
+  ASSERT_GT(next_id, consensus::PaxosCore::kSubmitDedupWindow);
+  const consensus::Slot slot0 = leader.delivered_upto();
+  const std::uint64_t allocs0 = testing::allocation_count();
+  constexpr std::size_t kSlots = 2000;
+  decide_slots(kSlots);
+  const std::uint64_t allocs = testing::allocation_count() - allocs0;
+  ASSERT_EQ(leader.delivered_upto() - slot0, kSlots);
+  ASSERT_TRUE(leader.is_leader());
+  for (const auto& n : nodes) EXPECT_EQ(n->delivered, next_id);
+  // The batch is one allocation for the shared vector and one for its
+  // entries; nothing else may allocate per slot.
+  std::printf("warm paxos log: %.2f allocations per slot\n",
+              static_cast<double>(allocs) / kSlots);
+  EXPECT_EQ(allocs, 2 * kSlots);
 }
 
 // ---- sharing ------------------------------------------------------------------

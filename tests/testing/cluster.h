@@ -30,6 +30,7 @@ class TestPaxosNode : public net::Actor {
     network_ = &network;
     consensus::PaxosCore::Callbacks cb;
     cb.send = [this](ProcessId to, net::MessagePtr m) {
+      if (on_send) on_send(to, m);
       network_->send(pid(), to, std::move(m));
     };
     cb.on_decide = [this](consensus::Slot slot, const consensus::Batch& batch) {
@@ -50,6 +51,8 @@ class TestPaxosNode : public net::Actor {
   std::unique_ptr<consensus::PaxosCore> core;
   /// Optional hook run inside on_decide for each decided entry.
   std::function<void(const consensus::LogEntry&)> on_entry;
+  /// Optional hook run for each message the core sends.
+  std::function<void(ProcessId to, const net::MessagePtr&)> on_send;
   std::vector<consensus::Slot> decided_slots;
   std::vector<consensus::LogEntry> decided;
   net::Network* network_ = nullptr;
