@@ -13,10 +13,9 @@ namespace {
 
 using namespace dssmr;
 
-struct IntPayload final : net::Message {
+struct IntPayload final : net::Tagged<net::Kind::kBenchInt> {
   std::int64_t v;
   explicit IntPayload(std::int64_t x) : v(x) {}
-  const char* type_name() const override { return "bench.int"; }
 };
 
 void BM_EngineScheduleAndRun(benchmark::State& state) {

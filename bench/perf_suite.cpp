@@ -116,10 +116,9 @@ struct BenchResult {
   std::vector<std::pair<std::string, double>> extra;
 };
 
-struct IntPayload final : net::Message {
+struct IntPayload final : net::Tagged<net::Kind::kBenchInt> {
   std::int64_t v;
   explicit IntPayload(std::int64_t x) : v(x) {}
-  const char* type_name() const override { return "perf.int"; }
 };
 
 class CountingActor : public net::Actor {

@@ -32,11 +32,10 @@ struct Account final : smr::VarValue {
   std::size_t size_bytes() const override { return 16; }
 };
 
-struct MoneyReply final : net::Message {
+struct MoneyReply final : net::Tagged<net::Kind::kExampleReply> {
   std::int64_t amount;
   bool ok;
   MoneyReply(std::int64_t a, bool o) : amount(a), ok(o) {}
-  const char* type_name() const override { return "bank.reply"; }
 };
 
 class BankApp final : public smr::AppStateMachine {

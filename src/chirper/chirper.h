@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -73,10 +73,74 @@ struct Post {
   PostText text;
 };
 
+/// A user's newest kTimelineCap posts, oldest first. A ring: its storage
+/// grows with the first kTimelineCap posts (an empty timeline holds none)
+/// and is then overwritten in place, so appending to a full timeline
+/// releases the oldest post and allocates nothing.
+class Timeline {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Post;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Post*;
+    using reference = const Post&;
+
+    const_iterator() = default;
+    const_iterator(const Timeline* t, std::size_t i) : t_(t), i_(i) {}
+    const Post& operator*() const { return (*t_)[i_]; }
+    const Post* operator->() const { return &(*t_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) { return {t_, i_++}; }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const Timeline* t_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  std::size_t size() const { return posts_.size(); }
+  /// The i-th oldest post.
+  const Post& operator[](std::size_t i) const { return posts_[slot(i)]; }
+  Post& operator[](std::size_t i) { return posts_[slot(i)]; }
+  const Post& front() const { return (*this)[0]; }
+  const Post& back() const { return (*this)[size() - 1]; }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  /// Appends `p` as the newest post, evicting the oldest once full.
+  void push(Post p) {
+    if (posts_.size() < kTimelineCap) {
+      if (posts_.size() == posts_.capacity()) {
+        posts_.reserve(std::min(kTimelineCap, std::max<std::size_t>(4, 2 * posts_.size())));
+      }
+      posts_.push_back(std::move(p));
+      return;
+    }
+    posts_[head_] = std::move(p);
+    head_ = head_ + 1 == kTimelineCap ? 0 : head_ + 1;
+  }
+
+ private:
+  std::size_t slot(std::size_t i) const {
+    const std::size_t s = head_ + i;
+    return s < posts_.size() ? s : s - posts_.size();
+  }
+
+  std::vector<Post> posts_;
+  std::size_t head_ = 0;  // oldest post's slot; nonzero only once full
+};
+
 struct UserValue final : smr::VarValue {
   std::vector<VarId> followers;
   std::vector<VarId> following;
-  std::deque<Post> timeline;  // newest at the back, capped at kTimelineCap
+  Timeline timeline;
 
   std::unique_ptr<smr::VarValue> clone() const override {
     return std::make_unique<UserValue>(*this);
@@ -87,16 +151,12 @@ struct UserValue final : smr::VarValue {
     return n;
   }
 
-  void append_post(Post p) {
-    timeline.push_back(std::move(p));
-    while (timeline.size() > kTimelineCap) timeline.pop_front();
-  }
+  void append_post(Post p) { timeline.push(std::move(p)); }
 };
 
-struct TimelineReply final : net::Message {
+struct TimelineReply final : net::Tagged<net::Kind::kTimelineReply> {
   std::vector<Post> posts;
   explicit TimelineReply(std::vector<Post> p) : posts(std::move(p)) {}
-  const char* type_name() const override { return "chirper.timeline"; }
   std::size_t size_bytes() const override {
     std::size_t n = 16;
     for (const Post& p : posts) n += 24 + p.text.size();
@@ -104,10 +164,9 @@ struct TimelineReply final : net::Message {
   }
 };
 
-struct StatusReply final : net::Message {
+struct StatusReply final : net::Tagged<net::Kind::kStatusReply> {
   bool ok;
   explicit StatusReply(bool o) : ok(o) {}
-  const char* type_name() const override { return "chirper.status"; }
   std::size_t size_bytes() const override { return 9; }
 };
 

@@ -320,35 +320,24 @@ void PaxosCore::propose(Slot slot, BatchPtr batch) {
 
 bool PaxosCore::handle(ProcessId from, const net::MessagePtr& m) {
   if (halted_) return false;
-  if (const auto* p1a = net::msg_cast<P1a>(m); p1a != nullptr && p1a->gid == gid_) {
-    handle_p1a(from, *p1a);
+  // Each arm hands the payload on only when it belongs to this group.
+  const auto route = [&](const auto& msg, auto handler) {
+    if (msg.gid != gid_) return false;
+    (this->*handler)(from, msg);
     return true;
+  };
+  switch (m->kind()) {
+    case net::Kind::kP1a: return route(net::msg_as<P1a>(m), &PaxosCore::handle_p1a);
+    case net::Kind::kP1b: return route(net::msg_as<P1b>(m), &PaxosCore::handle_p1b);
+    case net::Kind::kP2a: return route(net::msg_as<P2a>(m), &PaxosCore::handle_p2a);
+    case net::Kind::kP2b: return route(net::msg_as<P2b>(m), &PaxosCore::handle_p2b);
+    case net::Kind::kCommit: return route(net::msg_as<CommitMsg>(m), &PaxosCore::handle_commit);
+    case net::Kind::kHeartbeat:
+      return route(net::msg_as<HeartbeatMsg>(m), &PaxosCore::handle_heartbeat);
+    case net::Kind::kLearnReq:
+      return route(net::msg_as<LearnReq>(m), &PaxosCore::handle_learnreq);
+    default: return false;
   }
-  if (const auto* p1b = net::msg_cast<P1b>(m); p1b != nullptr && p1b->gid == gid_) {
-    handle_p1b(from, *p1b);
-    return true;
-  }
-  if (const auto* p2a = net::msg_cast<P2a>(m); p2a != nullptr && p2a->gid == gid_) {
-    handle_p2a(from, *p2a);
-    return true;
-  }
-  if (const auto* p2b = net::msg_cast<P2b>(m); p2b != nullptr && p2b->gid == gid_) {
-    handle_p2b(from, *p2b);
-    return true;
-  }
-  if (const auto* c = net::msg_cast<CommitMsg>(m); c != nullptr && c->gid == gid_) {
-    handle_commit(*c);
-    return true;
-  }
-  if (const auto* hb = net::msg_cast<HeartbeatMsg>(m); hb != nullptr && hb->gid == gid_) {
-    handle_heartbeat(from, *hb);
-    return true;
-  }
-  if (const auto* lr = net::msg_cast<LearnReq>(m); lr != nullptr && lr->gid == gid_) {
-    handle_learnreq(from, *lr);
-    return true;
-  }
-  return false;
 }
 
 void PaxosCore::handle_p1a(ProcessId from, const P1a& m) {
@@ -423,7 +412,7 @@ void PaxosCore::handle_p2b(ProcessId from, const P2b& m) {
   }
 }
 
-void PaxosCore::handle_commit(const CommitMsg& m) {
+void PaxosCore::handle_commit(ProcessId /*from*/, const CommitMsg& m) {
   decide(m.slot, m.batch, /*broadcast_commit=*/false);
 }
 

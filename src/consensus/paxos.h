@@ -99,15 +99,14 @@ struct PaxosConfig {
 
 // ---- wire messages ---------------------------------------------------------
 
-struct P1a final : net::Message {
+struct P1a final : net::Tagged<net::Kind::kP1a> {
   GroupId gid;
   Ballot ballot;
   Slot committed;  // candidate's delivery point, bounds the P1b payload
   P1a(GroupId g, Ballot b, Slot c) : gid(g), ballot(b), committed(c) {}
-  const char* type_name() const override { return "paxos.p1a"; }
 };
 
-struct P1b final : net::Message {
+struct P1b final : net::Tagged<net::Kind::kP1b> {
   GroupId gid;
   Ballot ballot;
   bool granted;
@@ -115,52 +114,46 @@ struct P1b final : net::Message {
   AcceptedMap accepted;
   P1b(GroupId g, Ballot b, bool ok, Slot c, AcceptedMap acc)
       : gid(g), ballot(b), granted(ok), committed(c), accepted(std::move(acc)) {}
-  const char* type_name() const override { return "paxos.p1b"; }
   std::size_t size_bytes() const override;
 };
 
-struct P2a final : net::Message {
+struct P2a final : net::Tagged<net::Kind::kP2a> {
   GroupId gid;
   Ballot ballot;
   Slot slot;
   BatchPtr batch;
   P2a(GroupId g, Ballot b, Slot s, BatchPtr bt)
       : gid(g), ballot(b), slot(s), batch(std::move(bt)) {}
-  const char* type_name() const override { return "paxos.p2a"; }
   std::size_t size_bytes() const override;
 };
 
-struct P2b final : net::Message {
+struct P2b final : net::Tagged<net::Kind::kP2b> {
   GroupId gid;
   Ballot ballot;
   Slot slot;
   bool accepted;
   P2b(GroupId g, Ballot b, Slot s, bool ok) : gid(g), ballot(b), slot(s), accepted(ok) {}
-  const char* type_name() const override { return "paxos.p2b"; }
 };
 
-struct CommitMsg final : net::Message {
+struct CommitMsg final : net::Tagged<net::Kind::kCommit> {
   GroupId gid;
   Slot slot;
   BatchPtr batch;
   CommitMsg(GroupId g, Slot s, BatchPtr b) : gid(g), slot(s), batch(std::move(b)) {}
-  const char* type_name() const override { return "paxos.commit"; }
   std::size_t size_bytes() const override;
 };
 
-struct HeartbeatMsg final : net::Message {
+struct HeartbeatMsg final : net::Tagged<net::Kind::kHeartbeat> {
   GroupId gid;
   Ballot ballot;
   Slot committed;
   HeartbeatMsg(GroupId g, Ballot b, Slot c) : gid(g), ballot(b), committed(c) {}
-  const char* type_name() const override { return "paxos.heartbeat"; }
 };
 
-struct LearnReq final : net::Message {
+struct LearnReq final : net::Tagged<net::Kind::kLearnReq> {
   GroupId gid;
   Slot from;
   LearnReq(GroupId g, Slot f) : gid(g), from(f) {}
-  const char* type_name() const override { return "paxos.learnreq"; }
 };
 
 // ---- core ------------------------------------------------------------------
@@ -272,7 +265,7 @@ class PaxosCore {
   void handle_p1b(ProcessId from, const P1b& m);
   void handle_p2a(ProcessId from, const P2a& m);
   void handle_p2b(ProcessId from, const P2b& m);
-  void handle_commit(const CommitMsg& m);
+  void handle_commit(ProcessId from, const CommitMsg& m);
   void handle_heartbeat(ProcessId from, const HeartbeatMsg& m);
   void handle_learnreq(ProcessId from, const LearnReq& m);
 

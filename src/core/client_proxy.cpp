@@ -445,12 +445,16 @@ void ClientProxy::do_fallback() {
 
 void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
   (void)from;
-  if (const auto* p = net::msg_cast<ProphecyMsg>(m)) {
-    on_prophecy(*p);
-    return;
+  switch (m->kind()) {
+    case net::Kind::kProphecy:
+      on_prophecy(net::msg_as<ProphecyMsg>(m));
+      return;
+    case net::Kind::kReply:
+      break;
+    default:
+      return;
   }
-  const auto* r = net::msg_cast<ReplyMsg>(m);
-  if (r == nullptr) return;
+  const auto* r = &net::msg_as<ReplyMsg>(m);
   if (phase_ == Phase::kIdle || r->cmd_id != awaited_reply_) return;  // stale/duplicate
 
   switch (phase_) {

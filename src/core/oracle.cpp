@@ -107,17 +107,19 @@ void OracleNode::queue_reply_task(Duration service, sim::Callback run) {
 }
 
 void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
-  if (const auto* consult = net::msg_cast<ConsultMsg>(m.payload)) {
-    handle_consult(m, *consult);
-    return;
+  switch (m.payload->kind()) {
+    case net::Kind::kConsult:
+      handle_consult(m, net::msg_as<ConsultMsg>(m.payload));
+      return;
+    case net::Kind::kHint:
+      handle_hint(net::msg_as<HintMsg>(m.payload));
+      return;
+    case net::Kind::kCommand:
+      break;
+    default:
+      DSSMR_FAIL("oracle received an unknown payload");
   }
-  if (const auto* hint = net::msg_cast<HintMsg>(m.payload)) {
-    handle_hint(*hint);
-    return;
-  }
-  const auto* cm = net::msg_cast<CommandMsg>(m.payload);
-  DSSMR_ASSERT_MSG(cm != nullptr, "oracle received an unknown payload");
-  const Command& cmd = cm->cmd;
+  const Command& cmd = net::msg_as<CommandMsg>(m.payload).cmd;
   switch (cmd.type) {
     case CommandType::kCreate:
       handle_create(m, cmd);

@@ -571,21 +571,17 @@ void PartitionServer::deliver_delete(const CommandPtr& cmd_ptr) {
 
 void PartitionServer::on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) {
   (void)origin;
-  if (const auto* ship = net::msg_cast<VarShipMsg>(payload)) {
-    if (completed_.contains(ship->cmd_id)) return;  // late duplicate
-    Coord& c = coord(ship->cmd_id);
-    if (!c.ships_from.insert(ship->from_group)) return;  // replica duplicate
-    for (const auto& [v, val] : ship->vars) {
-      c.shipped.try_emplace(v, val);
-    }
-    exec_->notify();
-    return;
+  // Partitions do not wait on signals in this implementation (only the
+  // oracle does, before answering create/delete): only shipments count.
+  if (payload->kind() != net::Kind::kVarShip) return;
+  const auto& ship = net::msg_as<VarShipMsg>(payload);
+  if (completed_.contains(ship.cmd_id)) return;  // late duplicate
+  Coord& c = coord(ship.cmd_id);
+  if (!c.ships_from.insert(ship.from_group)) return;  // replica duplicate
+  for (const auto& [v, val] : ship.vars) {
+    c.shipped.try_emplace(v, val);
   }
-  if (net::msg_cast<SignalMsg>(payload) != nullptr) {
-    // Partitions do not wait on signals in this implementation (only the
-    // oracle does, before answering create/delete); ignore.
-    return;
-  }
+  exec_->notify();
 }
 
 }  // namespace dssmr::core

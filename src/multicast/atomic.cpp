@@ -56,15 +56,16 @@ AmcastCore::Pending& AmcastCore::pending_entry(MsgId mid) {
 }
 
 bool AmcastCore::on_log_entry(const consensus::LogEntry& entry) {
-  if (const auto* stamp = net::msg_cast<StampEntry>(entry.payload)) {
-    process_stamp(entry.payload, *stamp);
-    return true;
+  switch (entry.payload->kind()) {
+    case net::Kind::kStamp:
+      process_stamp(entry.payload, net::msg_as<StampEntry>(entry.payload));
+      return true;
+    case net::Kind::kTs:
+      process_ts(net::msg_as<TsEntry>(entry.payload));
+      return true;
+    default:
+      return false;
   }
-  if (const auto* ts = net::msg_cast<TsEntry>(entry.payload)) {
-    process_ts(*ts);
-    return true;
-  }
-  return false;
 }
 
 void AmcastCore::process_stamp(const net::MessagePtr& payload, const StampEntry& e) {
@@ -288,24 +289,39 @@ void GroupNode::on_message(ProcessId from, const net::MessagePtr& m) {
   // core ignored traffic, while timestamp queries, reliable-multicast relays
   // and direct messages were still served — a "crashed" node that answers.
   if (halted_) return;
-  if (paxos_->handle(from, m)) return;
-  if (const auto* sub = net::msg_cast<SubmitToLog>(m)) {
-    if (sub->gid == gid_ && paxos_->is_leader()) paxos_->submit(sub->entry);
-    return;
-  }
-  if (const auto* batch = net::msg_cast<BatchSubmitMsg>(m)) {
-    if (batch->gid == gid_ && paxos_->is_leader()) {
-      for (const consensus::LogEntry& e : batch->entries) paxos_->submit(e);
+  switch (m->kind()) {
+    case net::Kind::kP1a:
+    case net::Kind::kP1b:
+    case net::Kind::kP2a:
+    case net::Kind::kP2b:
+    case net::Kind::kCommit:
+    case net::Kind::kHeartbeat:
+    case net::Kind::kLearnReq:
+      if (paxos_->handle(from, m)) return;
+      break;  // another group's Paxos traffic: routed like an unknown payload
+    case net::Kind::kSubmit: {
+      const auto& sub = net::msg_as<SubmitToLog>(m);
+      if (sub.gid == gid_ && paxos_->is_leader()) paxos_->submit(sub.entry);
+      return;
     }
-    return;
-  }
-  if (const auto* q = net::msg_cast<TsQuery>(m)) {
-    if (auto ts = amcast_->lookup_ts(q->mid)) {
-      consensus::LogEntry entry{derive_entry_id(q->mid, q->requester, kTsSalt + gid_.value),
-                                net::make_msg<TsEntry>(q->mid, gid_, *ts)};
-      submit_local_or_remote(q->requester, std::move(entry));
+    case net::Kind::kBatchSubmit: {
+      const auto& batch = net::msg_as<BatchSubmitMsg>(m);
+      if (batch.gid == gid_ && paxos_->is_leader()) {
+        for (const consensus::LogEntry& e : batch.entries) paxos_->submit(e);
+      }
+      return;
     }
-    return;
+    case net::Kind::kTsQuery: {
+      const auto& q = net::msg_as<TsQuery>(m);
+      if (auto ts = amcast_->lookup_ts(q.mid)) {
+        consensus::LogEntry entry{derive_entry_id(q.mid, q.requester, kTsSalt + gid_.value),
+                                  net::make_msg<TsEntry>(q.mid, gid_, *ts)};
+        submit_local_or_remote(q.requester, std::move(entry));
+      }
+      return;
+    }
+    default:
+      break;
   }
   if (rmcast_->handle(pid(), m)) return;
   on_direct(from, m);

@@ -50,11 +50,10 @@
 namespace dssmr::multicast {
 
 /// Pull request for a missing timestamp (see step 2 above).
-struct TsQuery final : net::Message {
+struct TsQuery final : net::Tagged<net::Kind::kTsQuery> {
   MsgId mid;
   GroupId requester;
   TsQuery(MsgId m, GroupId r) : mid(m), requester(r) {}
-  const char* type_name() const override { return "amcast.tsquery"; }
   std::size_t size_bytes() const override { return 24; }
 };
 

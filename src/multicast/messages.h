@@ -32,33 +32,30 @@ inline void normalize_dests(std::vector<GroupId>& dests) {
 
 /// Log entry: "message m was addressed to this group" — processing it
 /// assigns the group's local timestamp (Skeen step 1).
-struct StampEntry final : net::Message {
+struct StampEntry final : net::Tagged<net::Kind::kStamp> {
   AmcastMessage msg;
   explicit StampEntry(AmcastMessage m) : msg(std::move(m)) {}
-  const char* type_name() const override { return "amcast.stamp"; }
   std::size_t size_bytes() const override { return msg.size_bytes(); }
 };
 
 /// Log entry: "group `from` assigned timestamp `ts` to message `mid`"
 /// (Skeen step 2, routed through the receiving group's log so that every
 /// replica of the group observes timestamps in the same order).
-struct TsEntry final : net::Message {
+struct TsEntry final : net::Tagged<net::Kind::kTs> {
   MsgId mid;
   GroupId from;
   std::uint64_t ts;
   TsEntry(MsgId m, GroupId f, std::uint64_t t) : mid(m), from(f), ts(t) {}
-  const char* type_name() const override { return "amcast.ts"; }
   std::size_t size_bytes() const override { return 32; }
 };
 
 /// Request that a group sequence `entry` into its log. Sent to every group
 /// member; only the current Paxos leader acts on it, so duplicated
 /// submissions collapse via the leader's entry-id dedup.
-struct SubmitToLog final : net::Message {
+struct SubmitToLog final : net::Tagged<net::Kind::kSubmit> {
   GroupId gid;
   consensus::LogEntry entry;
   SubmitToLog(GroupId g, consensus::LogEntry e) : gid(g), entry(std::move(e)) {}
-  const char* type_name() const override { return "amcast.submit"; }
   std::size_t size_bytes() const override {
     return 32 + (entry.payload != nullptr ? entry.payload->size_bytes() : 0);
   }
@@ -69,12 +66,11 @@ struct SubmitToLog final : net::Message {
 /// Like SubmitToLog, it is sent to every group member and only the current
 /// Paxos leader sequences the entries; the leader's entry-id dedup absorbs
 /// duplicated batches from retries.
-struct BatchSubmitMsg final : net::Message {
+struct BatchSubmitMsg final : net::Tagged<net::Kind::kBatchSubmit> {
   GroupId gid;
   std::vector<consensus::LogEntry> entries;
   BatchSubmitMsg(GroupId g, std::vector<consensus::LogEntry> e)
       : gid(g), entries(std::move(e)) {}
-  const char* type_name() const override { return "amcast.batchsubmit"; }
   std::size_t size_bytes() const override {
     std::size_t n = 24;
     for (const auto& e : entries) {
@@ -85,7 +81,7 @@ struct BatchSubmitMsg final : net::Message {
 };
 
 /// Reliable-multicast envelope.
-struct RmMsg final : net::Message {
+struct RmMsg final : net::Tagged<net::Kind::kRm> {
   MsgId id;
   ProcessId origin;
   std::vector<GroupId> dests;
@@ -93,7 +89,6 @@ struct RmMsg final : net::Message {
   bool relayed;  // true once forwarded by a receiver (stops re-relaying)
   RmMsg(MsgId i, ProcessId o, std::vector<GroupId> d, net::MessagePtr p, bool r)
       : id(i), origin(o), dests(std::move(d)), payload(std::move(p)), relayed(r) {}
-  const char* type_name() const override { return "rmcast.msg"; }
   std::size_t size_bytes() const override {
     return 48 + dests.size() * 4 + (payload != nullptr ? payload->size_bytes() : 0);
   }

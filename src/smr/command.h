@@ -84,10 +84,9 @@ struct Command {
 using CommandPtr = std::shared_ptr<const Command>;
 
 /// Envelope for a command travelling through atomic multicast.
-struct CommandMsg final : net::Message {
+struct CommandMsg final : net::Tagged<net::Kind::kCommand> {
   Command cmd;
   explicit CommandMsg(Command c) : cmd(std::move(c)) {}
-  const char* type_name() const override { return "smr.command"; }
   std::size_t size_bytes() const override { return cmd.size_bytes(); }
   std::uint64_t trace_id() const override { return cmd.trace_id; }
 };
@@ -123,7 +122,7 @@ struct ReplyTiming {
 };
 
 /// Server -> client reply.
-struct ReplyMsg final : net::Message {
+struct ReplyMsg final : net::Tagged<net::Kind::kReply> {
   MsgId cmd_id;
   ReplyCode code;
   GroupId from_group;
@@ -139,7 +138,6 @@ struct ReplyMsg final : net::Message {
            ReplyTiming t = {}, std::vector<RepairEntry> rep = {})
       : cmd_id(id), code(c), from_group(g), app_reply(std::move(r)), timing(t),
         repair(std::move(rep)) {}
-  const char* type_name() const override { return "smr.reply"; }
   std::size_t size_bytes() const override {
     return 32 + 24 + repair.size() * 20 +
            (app_reply != nullptr ? app_reply->size_bytes() : 0);
@@ -151,29 +149,27 @@ struct ReplyMsg final : net::Message {
 /// move reply's app payload. Variables missing from `installed` hit a stale
 /// mapping — no source shipped them and the destination gave their claim up —
 /// so the client must not cache them at the destination.
-struct MoveResultMsg final : net::Message {
+struct MoveResultMsg final : net::Tagged<net::Kind::kMoveResult> {
   std::vector<VarId> installed;
   explicit MoveResultMsg(std::vector<VarId> v) : installed(std::move(v)) {}
-  const char* type_name() const override { return "smr.move_result"; }
   std::size_t size_bytes() const override { return 16 + installed.size() * 8; }
 };
 
 // ---- oracle interaction -----------------------------------------------------
 
 /// Client -> oracle: which partitions does `cmd` touch?
-struct ConsultMsg final : net::Message {
+struct ConsultMsg final : net::Tagged<net::Kind::kConsult> {
   MsgId consult_id;  // distinct from cmd->id (one command may re-consult)
   /// The consulting client shares its outstanding command here (an aliasing
   /// pointer into its CommandMsg) rather than copying it per consult.
   CommandPtr cmd;
   ConsultMsg(MsgId id, CommandPtr c) : consult_id(id), cmd(std::move(c)) {}
-  const char* type_name() const override { return "oracle.consult"; }
   std::size_t size_bytes() const override { return 16 + cmd->size_bytes(); }
   std::uint64_t trace_id() const override { return cmd->trace_id; }
 };
 
 /// The oracle's answer (the paper's "prophecy").
-struct ProphecyMsg final : net::Message {
+struct ProphecyMsg final : net::Tagged<net::Kind::kProphecy> {
   MsgId consult_id;
   ReplyCode code;  // kNok when the command cannot execute
   /// Per-variable location, <v, P>.
@@ -193,17 +189,15 @@ struct ProphecyMsg final : net::Message {
   std::vector<RepairEntry> prefetch;
 
   ProphecyMsg(MsgId id, ReplyCode c) : consult_id(id), code(c) {}
-  const char* type_name() const override { return "oracle.prophecy"; }
   std::size_t size_bytes() const override {
     return 32 + locations.size() * 12 + epochs.size() * 8 + prefetch.size() * 20;
   }
 };
 
 /// Workload hint: edges of the workload graph (DynaStar-style oracles).
-struct HintMsg final : net::Message {
+struct HintMsg final : net::Tagged<net::Kind::kHint> {
   std::vector<std::pair<VarId, VarId>> edges;
   explicit HintMsg(std::vector<std::pair<VarId, VarId>> e) : edges(std::move(e)) {}
-  const char* type_name() const override { return "oracle.hint"; }
   std::size_t size_bytes() const override { return 16 + edges.size() * 16; }
 };
 
@@ -214,7 +208,7 @@ struct VarValue;  // smr/app.h
 /// Variables (possibly none) shipped from one partition to another for a
 /// command: S-SMR variable exchange when `is_move` is false, ownership
 /// transfer when true. An empty `vars` still counts as the sender's signal.
-struct VarShipMsg final : net::Message {
+struct VarShipMsg final : net::Tagged<net::Kind::kVarShip> {
   MsgId cmd_id;
   GroupId from_group;
   bool is_move;
@@ -224,16 +218,14 @@ struct VarShipMsg final : net::Message {
   VarShipMsg(MsgId id, GroupId g, bool mv,
              std::vector<std::pair<VarId, std::shared_ptr<const VarValue>>> v)
       : cmd_id(id), from_group(g), is_move(mv), vars(std::move(v)) {}
-  const char* type_name() const override { return "smr.varship"; }
   std::size_t size_bytes() const override;
 };
 
 /// Execution-atomicity signal (create/delete coordination with the oracle).
-struct SignalMsg final : net::Message {
+struct SignalMsg final : net::Tagged<net::Kind::kSignal> {
   MsgId cmd_id;
   GroupId from_group;
   SignalMsg(MsgId id, GroupId g) : cmd_id(id), from_group(g) {}
-  const char* type_name() const override { return "smr.signal"; }
   std::size_t size_bytes() const override { return 24; }
 };
 

@@ -34,11 +34,10 @@ struct KvValue final : smr::VarValue {
   std::size_t size_bytes() const override { return 24 + data.size(); }
 };
 
-struct KvReply final : net::Message {
+struct KvReply final : net::Tagged<net::Kind::kKvReply> {
   std::int64_t num = 0;
   std::string data;
   KvReply(std::int64_t n, std::string d) : num(n), data(std::move(d)) {}
-  const char* type_name() const override { return "kv.reply"; }
   std::size_t size_bytes() const override { return 24 + data.size(); }
 };
 

@@ -109,9 +109,13 @@ double allocs_per_command(std::size_t timeline_every) {
   return static_cast<double>(allocs) / static_cast<double>(done);
 }
 
-// Ceilings: the figure measured once the Paxos log became one slot ring
-// (no per-slot tree nodes for accepted, decided and proposed values), plus
-// 10%. History of the same two scenarios, in allocations per command:
+// Ceilings: the figure measured once a user's timeline became a ring that
+// stops allocating when full (it was a std::deque, which allocates a chunk
+// every few posts), plus 10%. History of the same two scenarios, in
+// allocations per command:
+//   * 9.90 and 7.50 with deque timelines, after the Paxos log became one
+//     slot ring (no per-slot tree nodes for accepted, decided and proposed
+//     values);
 //   * 13.01 and 10.58 with std::map slot tables, after per-replica
 //     bookkeeping stopped allocating (flat dedup windows, a flat amcast
 //     pending set, inline execution tasks);
@@ -119,8 +123,8 @@ double allocs_per_command(std::size_t timeline_every) {
 //   * 81.97 and 182.49 before the command path shared its immutable objects
 //     (batches, commands, stamped messages and post text deep-copied at each
 //     hand-off).
-constexpr double kPostCeiling = 9.90 * 1.1;
-constexpr double kTimelineCeiling = 7.50 * 1.1;
+constexpr double kPostCeiling = 8.90 * 1.1;
+constexpr double kTimelineCeiling = 7.29 * 1.1;
 
 TEST(AllocBudget, PostOnlyDeployment) {
   const double per_cmd = allocs_per_command(/*timeline_every=*/0);
@@ -178,6 +182,26 @@ TEST(AllocBudget, WarmExecutionEngineEnqueuesInlineClosures) {
   round();
   EXPECT_EQ(testing::allocation_count() - allocs0, 0u);
   EXPECT_EQ(exec.executed_count(), 128u);
+}
+
+TEST(AllocBudget, WarmTimelineAppendDoesNotAllocate) {
+  UserValue u;
+  for (std::uint64_t i = 0; i < chirper::kTimelineCap; ++i) u.append_post({VarId{1}, i, kText});
+  ASSERT_EQ(u.timeline.size(), chirper::kTimelineCap);
+  constexpr std::uint64_t kAppends = 4 * chirper::kTimelineCap;
+  std::uint64_t seq = chirper::kTimelineCap;
+
+  // Each post builds its text: one allocation, and nothing for the ring.
+  std::uint64_t allocs0 = testing::allocation_count();
+  for (std::uint64_t i = 0; i < kAppends; ++i) u.append_post({VarId{1}, seq++, kText});
+  EXPECT_EQ(testing::allocation_count() - allocs0, kAppends);
+
+  // A fanned-out post shares its text: appending it allocates nothing.
+  const chirper::Post post{VarId{2}, 0, kText};
+  allocs0 = testing::allocation_count();
+  for (std::uint64_t i = 0; i < kAppends; ++i) u.append_post(post);
+  EXPECT_EQ(testing::allocation_count() - allocs0, 0u);
+  EXPECT_EQ(u.timeline.size(), chirper::kTimelineCap);
 }
 
 /// Paxos replica that only counts the entries it delivers.

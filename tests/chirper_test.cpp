@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <vector>
+
 #include "harness/deployment.h"
 #include "testing/dssmr_fixture.h"
 
@@ -36,6 +40,55 @@ TEST(UserValue, CloneIsDeep) {
   cu->timeline[0].text = "mutated";
   EXPECT_EQ(u.followers.size(), 2u);
   EXPECT_EQ(u.timeline[0].text, "hello");
+}
+
+// The timeline is a ring: checked against a deque model (push_back, then
+// pop_front past the cap) over three full wraps.
+TEST(UserValue, TimelineRingMatchesDequeModel) {
+  UserValue u;
+  std::deque<std::uint64_t> model;
+  for (std::uint64_t i = 0; i < 3 * kTimelineCap; ++i) {
+    u.append_post({VarId{i % 7}, i, PostText(std::to_string(i))});
+    model.push_back(i);
+    if (model.size() > kTimelineCap) model.pop_front();
+    ASSERT_EQ(u.timeline.size(), model.size()) << "after append " << i;
+    EXPECT_EQ(u.timeline.front().seq, model.front());
+    EXPECT_EQ(u.timeline.back().seq, model.back());
+    for (std::size_t k = 0; k < model.size(); ++k) {
+      ASSERT_EQ(u.timeline[k].seq, model[k]) << "after append " << i << ", index " << k;
+      ASSERT_EQ(u.timeline[k].text, std::to_string(model[k]));
+    }
+    const std::vector<std::uint64_t> iterated = [&] {
+      std::vector<std::uint64_t> out;
+      for (const Post& p : u.timeline) out.push_back(p.seq);
+      return out;
+    }();
+    ASSERT_EQ(iterated, std::vector<std::uint64_t>(model.begin(), model.end()));
+  }
+}
+
+TEST(UserValue, CloneAfterWrapIsIndependent) {
+  UserValue u;
+  for (std::uint64_t i = 0; i < kTimelineCap + 7; ++i) u.append_post({VarId{1}, i, "x"});
+  const std::size_t bytes = u.size_bytes();
+  auto c = u.clone();
+  auto& cu = static_cast<UserValue&>(*c);
+  EXPECT_EQ(cu.size_bytes(), bytes);
+  ASSERT_EQ(cu.timeline.size(), kTimelineCap);
+  EXPECT_EQ(cu.timeline.front().seq, 7u);
+  cu.timeline[0].text = "clone";
+  EXPECT_EQ(u.timeline[0].text, "x");
+
+  // The original moves on; the clone keeps its own posts, in its own order.
+  for (std::uint64_t i = 0; i < 10; ++i) u.append_post({VarId{2}, 1000 + i, "original"});
+  cu.append_post({VarId{3}, 5000, "clone"});
+  EXPECT_EQ(u.timeline.front().seq, 17u);
+  EXPECT_EQ(u.timeline.back().seq, 1009u);
+  EXPECT_EQ(u.timeline[kTimelineCap - 11].text, "x");
+  EXPECT_EQ(cu.timeline.front().seq, 8u);
+  EXPECT_EQ(cu.timeline[kTimelineCap - 2].seq, kTimelineCap + 6);
+  EXPECT_EQ(cu.timeline.back().seq, 5000u);
+  for (const Post& p : cu.timeline) EXPECT_NE(p.author, VarId{2});
 }
 
 TEST(CommandBuilders, PostIncludesFollowersOnce) {

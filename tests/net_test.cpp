@@ -9,11 +9,10 @@
 namespace dssmr::net {
 namespace {
 
-struct Probe final : Message {
+struct Probe final : Tagged<Kind::kTestProbe> {
   int tag;
   std::size_t bytes;
   explicit Probe(int t, std::size_t b = 64) : tag(t), bytes(b) {}
-  const char* type_name() const override { return "test.probe"; }
   std::size_t size_bytes() const override { return bytes; }
 };
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "consensus/paxos.h"
@@ -16,10 +17,9 @@
 namespace dssmr::testing {
 
 /// Payload carrying a plain integer, for protocol-level tests.
-struct IntMsg final : net::Message {
+struct IntMsg final : net::Tagged<net::Kind::kTestInt> {
   std::int64_t value;
   explicit IntMsg(std::int64_t v) : value(v) {}
-  const char* type_name() const override { return "test.int"; }
 };
 
 /// A bare Paxos replica actor that records decided entries in order.
@@ -58,16 +58,20 @@ class TestPaxosNode : public net::Actor {
   net::Network* network_ = nullptr;
 };
 
-/// GroupNode that records its atomic/reliable deliveries.
+/// GroupNode that records its atomic, reliable and direct deliveries.
 class RecordingGroupNode : public multicast::GroupNode {
  public:
   std::vector<multicast::AmcastMessage> amdelivered;
   std::vector<net::MessagePtr> rmdelivered;
+  std::vector<std::pair<ProcessId, net::MessagePtr>> direct;
 
  protected:
   void on_amdeliver(const multicast::AmcastMessage& m) override { amdelivered.push_back(m); }
   void on_rmdeliver(ProcessId, const net::MessagePtr& payload) override {
     rmdelivered.push_back(payload);
+  }
+  void on_direct(ProcessId from, const net::MessagePtr& m) override {
+    direct.emplace_back(from, m);
   }
 };
 
